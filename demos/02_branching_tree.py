@@ -14,7 +14,6 @@ from manyworlds import (
     BipartiteSplit,
     BranchTree,
     basis_state,
-    branch_entropy,
     interact_and_branch,
     make_state,
     premeasurement_unitary,
@@ -33,7 +32,7 @@ print("branches created:", len(children))
 for cid in children:
     node = tree.node(cid)
     print(f"  branch {cid}: weight {node.weight:.3f}   "
-          f"entropy contribution {branch_entropy(node):.4f} nats")
+          f"entropy contribution {node.relative_entropy:.4f} nats")
 
 print(f"\ntotal entropy: {total_entropy(tree):.6f} nats")
 print("ledger so far:")

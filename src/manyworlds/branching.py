@@ -70,8 +70,6 @@ class EntropyLedger:
 class _BranchEvent(NamedTuple):
     step: int
     rescaled_entropy: float
-    state: StateVector
-    split: Optional[BipartiteSplit]
 
 
 @dataclass
@@ -95,11 +93,6 @@ def _weight_entropy(w: float) -> float:
     return -w * math.log(w) + 0.0
 
 
-def branch_entropy(node: BranchNode) -> float:
-    """Entropy contribution -w ln w of a branch weight, in nats."""
-    return _weight_entropy(node.weight)
-
-
 class BranchTree:
     """Mutable world tree; single-writer, mutated only through module functions."""
 
@@ -119,7 +112,7 @@ class BranchTree:
             relative_entropy=0.0,
             rescaled_entropy=0.0,
             birth_step=0,
-            history=[_BranchEvent(0, 0.0, root_state, None)],
+            history=[_BranchEvent(0, 0.0)],
         )
         self.nodes: dict[int, BranchNode] = {0: root}
         self.ledger = EntropyLedger()
@@ -222,7 +215,7 @@ def interact_and_branch(
     if dec.rank == 1:
         node.state = new_state
         node.rescaled_entropy = within_branch
-        node.history.append(_BranchEvent(step, within_branch, new_state, split))
+        node.history.append(_BranchEvent(step, within_branch))
         tree.step_counter = step
         tree._record_ledger()
         return []
@@ -235,7 +228,7 @@ def interact_and_branch(
 
     node.state = new_state
     node.rescaled_entropy = within_branch
-    node.history.append(_BranchEvent(step, within_branch, new_state, split))
+    node.history.append(_BranchEvent(step, within_branch))
 
     child_ids: list[int] = []
     for n in range(dec.rank):
@@ -253,7 +246,7 @@ def interact_and_branch(
             relative_entropy=_weight_entropy(weight),
             rescaled_entropy=0.0,
             birth_step=step,
-            history=[_BranchEvent(step, 0.0, child_state, split)],
+            history=[_BranchEvent(step, 0.0)],
         )
         tree.nodes[child.id] = child
         child_ids.append(child.id)
@@ -264,28 +257,14 @@ def interact_and_branch(
     return child_ids
 
 
-def rescaled_entropy_trace(
-    tree: BranchTree,
-    node_id: int,
-    schmidt_split: Optional[BipartiteSplit] = None,
-) -> list[tuple[int, float]]:
+def rescaled_entropy_trace(tree: BranchTree, node_id: int) -> list[tuple[int, float]]:
     """Entropy accumulated within one branch since its birth, step by step.
 
-    The trace starts at exactly zero at the branch's birth step. With the
-    default ``schmidt_split=None`` each later entry carries the entropy
-    computed across the split of the interaction that produced it; passing
-    a split recomputes every post-birth entry across that split instead,
-    which requires the branch dimension to have stayed constant.
+    The trace starts at exactly zero at the branch's birth step, because
+    every history opens with a zero event; each later entry carries the
+    entropy computed across the split of the interaction that produced it.
     """
-    node = tree.node(node_id)
-    trace = [(node.history[0].step, 0.0)]
-    for event in node.history[1:]:
-        if schmidt_split is None:
-            trace.append((event.step, event.rescaled_entropy))
-        else:
-            dec = schmidt_decompose(event.state, schmidt_split)
-            trace.append((event.step, entanglement_entropy(dec)))
-    return trace
+    return [(event.step, event.rescaled_entropy) for event in tree.node(node_id).history]
 
 
 def _preparation_unitary(amplitudes: np.ndarray) -> np.ndarray:

@@ -240,22 +240,32 @@ def partial_trace(psi: StateVector, split: BipartiteSplit, keep: Side) -> Densit
 def eig_hermitian(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues and deterministically canonicalized eigenvectors.
 
-    Within a degenerate cluster (eigenvalue gap below DEGENERACY_GAP) the
-    eigenbasis is rebuilt by Gram-Schmidt over the cluster projector's
-    columns in standard basis order, and every eigenvector's global phase is
-    fixed so its first component of modulus above 1e-9 is real positive.
-    Identical inputs therefore always produce identical outputs.
+    The eigenvectors follow the package's eigenbasis convention; see
+    _canonical_eigenbasis. Identical inputs therefore always produce
+    identical outputs.
     """
     values, vectors = np.linalg.eigh(rho.entries)
     values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
+    return values, _canonical_eigenbasis(values, vectors[:, ::-1])
 
+
+def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The package's eigenbasis convention, applied to orthonormal columns.
+
+    `vectors` holds one column per entry of the descending `values`.
+    Within a degenerate cluster of those values (gap below DEGENERACY_GAP)
+    the basis is rebuilt by Gram-Schmidt over the cluster projector's
+    columns in standard basis order, and every column's global phase is
+    fixed so its first component of modulus above 1e-9 is real positive.
+    Clusters are formed only from the values given.
+    """
+    vectors = vectors.copy()
     for lo, hi in _degenerate_clusters(values):
         if hi - lo > 1:
             vectors[:, lo:hi] = _canonical_cluster_basis(vectors[:, lo:hi])
     for col in range(vectors.shape[1]):
         vectors[:, col] = _fix_global_phase(vectors[:, col])
-    return values, vectors
+    return vectors
 
 
 def _degenerate_clusters(descending: np.ndarray):
@@ -274,12 +284,15 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
     Projects the standard basis vectors onto the subspace in index order and
     keeps the Gram-Schmidt survivors. The result depends only on the
     subspace, not on the arbitrary eigenbasis the eigensolver returned.
+    The projection of basis vector j is `vectors @ coords[j]`, and since the
+    columns are orthonormal, norms and overlaps can be taken on the k
+    coordinates alone, so the n x n projector is never formed.
     """
     n, k = vectors.shape
-    projector = vectors @ vectors.conj().T
+    coords = vectors.conj()
     chosen: list[np.ndarray] = []
     for j in range(n):
-        cand = projector[:, j].copy()
+        cand = coords[j].copy()
         for u in chosen:
             cand -= u * np.vdot(u, cand)
         nrm = np.linalg.norm(cand)
@@ -291,7 +304,7 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
         cand /= np.linalg.norm(cand)
         chosen.append(cand)
         if len(chosen) == k:
-            return np.column_stack(chosen)
+            return vectors @ np.column_stack(chosen)
     raise ShapeError("degenerate cluster basis could not be completed")
 
 

@@ -2,7 +2,9 @@
 
 The decomposition diagonalizes both reduced density matrices at once and is
 the preferred basis along which worlds split: rank one means the state
-factorizes, rank above one means it has defactorized into branches.
+factorizes, rank above one means it has defactorized into branches. It is
+read off one thin singular value decomposition of the d_left x d_right
+amplitude matrix, so no reduced density matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .hilbert import (
     EPS_RANK,
     BipartiteSplit,
     StateVector,
-    eig_hermitian,
+    _canonical_eigenbasis,
     partial_trace,
 )
 
@@ -76,19 +78,23 @@ class SchmidtDecomposition:
 def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecomposition:
     """Decompose a pure state across a bipartite split.
 
-    Eigendecomposes the left reduced matrix, then obtains each right vector
-    by contracting the state with the corresponding left vector and
-    normalizing; this guarantees phase-consistent pairs, which independent
-    two-sided eigensolves do not. The reconstruction is verified against the
-    input before returning.
+    Takes one thin SVD of the amplitude matrix: the coefficients are the
+    squared singular values, and only those above EPS_RANK are kept, so no
+    null space is ever computed. The kept left vectors follow the package's
+    eigenbasis convention (see eig_hermitian), with degenerate clusters
+    formed among the kept coefficients only. Each right vector is then
+    obtained by contracting the state with its left vector and normalizing;
+    this guarantees phase-consistent pairs. The reconstruction is verified
+    against the input before returning.
     """
     split.require_match(psi)
-    values, vectors = eig_hermitian(partial_trace(psi, split, "left"))
+    m = psi.amplitudes.reshape(split.d_left, split.d_right)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    values = s**2
     retained = values > EPS_RANK
     lambdas = values[retained]
-    left = vectors[:, retained]
+    left = _canonical_eigenbasis(lambdas, u[:, retained])
 
-    m = psi.amplitudes.reshape(split.d_left, split.d_right)
     raw_right = m.T @ left.conj()            # column n: <left_n| psi, a right-side vector
     norms = np.linalg.norm(raw_right, axis=0)
     if np.any(norms**2 <= EPS_RANK):
@@ -106,16 +112,12 @@ def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecompo
     return dec
 
 
-def schmidt_rank(dec: SchmidtDecomposition) -> int:
-    """Number of retained coefficients; 1 exactly when the state factorizes."""
-    return dec.rank
-
-
 def spectra_gap(psi: StateVector, split: BipartiteSplit) -> float:
     """Self-diagnostic: distance between the two reduced spectra.
 
     Both reduced matrices of a pure state must share their nonzero spectrum;
-    this returns the max elementwise difference between the two descending
+    it forms and eigensolves both, independently of schmidt_decompose, and
+    returns the max elementwise difference between the two descending
     nonzero spectra, with the shorter list padded by zeros.
     """
     split.require_match(psi)

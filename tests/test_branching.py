@@ -12,7 +12,6 @@ from manyworlds import (
     UnitaryOperator,
     apply_unitary,
     basis_state,
-    branch_entropy,
     build_chain_tree,
     haar_random_state,
     haar_random_unitary,
@@ -85,14 +84,14 @@ class TestPremeasurementUnitary:
 class TestBranchEntropy:
     def test_certain_branch_carries_nothing(self):
         tree = BranchTree(basis_state(0, 2))
-        assert branch_entropy(tree.node(tree.root_id)) == 0.0
+        assert tree.node(tree.root_id).relative_entropy == 0.0
 
     def test_half_weight(self):
         tree = BranchTree(plus_device())
         (a, _) = interact_and_branch(
             tree, tree.root_id, premeasurement_unitary(2, 2), BipartiteSplit(2, 2)
         )
-        assert abs(branch_entropy(tree.node(a)) - 0.34657359027997264) < 1e-12
+        assert abs(tree.node(a).relative_entropy - 0.34657359027997264) < 1e-12
 
     def test_three_way_split_sums(self):
         amps = np.sqrt([0.5, 0.3, 0.2]).astype(complex)
@@ -100,7 +99,7 @@ class TestBranchEntropy:
         kids = interact_and_branch(
             tree, tree.root_id, premeasurement_unitary(3, 3), BipartiteSplit(3, 3)
         )
-        total = sum(branch_entropy(tree.node(k)) for k in kids)
+        total = sum(tree.node(k).relative_entropy for k in kids)
         assert abs(total - 1.0296530140645737) < 1e-10
 
 
@@ -273,19 +272,6 @@ class TestRescaledEntropyTrace:
         assert trace[0][1] == 0.0
         assert abs(trace[-1][1] - LN2) < 1e-10
 
-    def test_recompute_across_given_split(self):
-        tree = BranchTree(plus_device())
-        kids = interact_and_branch(
-            tree, tree.root_id, premeasurement_unitary(2, 2), BipartiteSplit(2, 2)
-        )
-        followed = kids[0]
-        interact_and_branch(tree, followed, equal_split_unitary(), BipartiteSplit(2, 2))
-        stored = rescaled_entropy_trace(tree, followed)
-        recomputed = rescaled_entropy_trace(tree, followed, BipartiteSplit(2, 2))
-        assert len(stored) == len(recomputed)
-        for (s1, v1), (s2, v2) in zip(stored, recomputed):
-            assert s1 == s2 and abs(v1 - v2) < 1e-10
-
     def test_unknown_node_rejected(self):
         tree = BranchTree(basis_state(0, 2))
         with pytest.raises(KeyError):
@@ -324,6 +310,14 @@ class TestChainProtocol:
         for nid in tree.nodes:
             trace = rescaled_entropy_trace(tree, nid)
             assert trace[0][1] == 0.0
+
+    def test_tiny_branch_weight_survives_pairing(self):
+        # the second branch weight, ~5.3e-10, lies within the degeneracy gap
+        # of the zero coefficients the decomposition discards
+        totals = run_chain_protocol(2, 3, amplitudes=[1, 2.3e-5]).total_entropies()
+        assert len(totals) == 7
+        assert all(b >= a for a, b in zip(totals, totals[1:]))
+        assert totals[-1] > 0.0
 
     def test_seed_determines_object_state(self):
         a = run_chain_protocol(2, 3, amplitudes=None, seed=11)

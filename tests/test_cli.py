@@ -110,7 +110,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.1.0"
+        assert payload["version"] == "0.2.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"

@@ -7,6 +7,7 @@ from manyworlds import (
     BipartiteSplit,
     ShapeError,
     basis_state,
+    eig_hermitian,
     entanglement_entropy,
     haar_random_state,
     haar_random_unitary,
@@ -14,13 +15,15 @@ from manyworlds import (
     partial_trace,
     reconstruct,
     schmidt_decompose,
-    schmidt_rank,
     spectra_gap,
     tensor,
 )
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
+
+# Wide, tall and very tall splits; the last one reaches the dimension cap.
+RANDOM_SPLITS = [(4, 6), (6, 4), (64, 2), (1024, 3), (8192, 2)]
 
 
 def bell_state():
@@ -49,12 +52,36 @@ class TestDecompose:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_state_reconstructs(self, seed):
-        psi = haar_random_state(24, seed)
-        split = BipartiteSplit(4, 6)
+        d_left, d_right = RANDOM_SPLITS[seed % len(RANDOM_SPLITS)]
+        psi = haar_random_state(d_left * d_right, seed)
+        split = BipartiteSplit(d_left, d_right)
         dec = schmidt_decompose(psi, split)
-        assert dec.rank <= 4
+        assert dec.rank <= min(d_left, d_right)
         rebuilt = reconstruct(dec)
         assert phase_distance(rebuilt.amplitudes, psi.amplitudes) < 1e-10
+        # the coefficients are the spectrum of the other side's reduced matrix
+        w = np.linalg.eigvalsh(partial_trace(psi, split, "right").entries)[::-1]
+        assert np.max(np.abs(dec.lambdas - w[:dec.rank])) < 1e-12
+
+    def test_tall_degenerate_split_follows_eigenbasis_convention(self):
+        split = BipartiteSplit(256, 2)
+        u = haar_random_unitary(256, 5).entries
+        psi = make_state(np.kron(u[:, 0], [1, 0]) + np.kron(u[:, 1], [0, 1]), [256, 2])
+        dec = schmidt_decompose(psi, split)
+        assert np.allclose(dec.lambdas, [0.5, 0.5], rtol=0.0, atol=1e-12)
+        _, vectors = eig_hermitian(partial_trace(psi, split, "left"))
+        assert np.max(np.abs(dec.left_vectors - vectors[:, :2])) < 1e-12
+
+    def test_small_coefficients_near_zero_are_kept(self):
+        # the two 3e-10 coefficients lie within the degeneracy gap of zero;
+        # they form a cluster of their own, apart from the discarded null space
+        lambdas = np.array([1 - 6e-10, 3e-10, 3e-10])
+        left = haar_random_unitary(4, 21).entries[:, :3]
+        right = haar_random_unitary(4, 22).entries[:, :3]
+        psi = make_state(((left * np.sqrt(lambdas)) @ right.T).reshape(-1), [4, 4])
+        dec = schmidt_decompose(psi, BipartiteSplit(4, 4))
+        assert dec.rank == 3
+        assert np.max(np.abs(dec.lambdas - lambdas)) < 1e-12
 
     def test_lambdas_descending_and_sum_to_one(self):
         dec = schmidt_decompose(haar_random_state(32, 7), BipartiteSplit(4, 8))
@@ -75,16 +102,16 @@ class TestDecompose:
 class TestRank:
     def test_product_rank_one(self):
         psi = tensor(basis_state(1, 3), basis_state(0, 2))
-        assert schmidt_rank(schmidt_decompose(psi, BipartiteSplit(3, 2))) == 1
+        assert schmidt_decompose(psi, BipartiteSplit(3, 2)).rank == 1
 
     def test_bell_rank_two(self):
-        assert schmidt_rank(schmidt_decompose(bell_state(), BipartiteSplit(2, 2))) == 2
+        assert schmidt_decompose(bell_state(), BipartiteSplit(2, 2)).rank == 2
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_independent_right_side_eigensolve(self, seed):
         psi = haar_random_state(24, seed)
         split = BipartiteSplit(4, 6)
-        rank = schmidt_rank(schmidt_decompose(psi, split))
+        rank = schmidt_decompose(psi, split).rank
         w = np.linalg.eigvalsh(partial_trace(psi, split, "right").entries)
         assert rank == int(np.sum(w > 1e-10))
 
