@@ -171,7 +171,7 @@ def premeasurement_unitary(n_outcomes: int, device_dim: int) -> UnitaryOperator:
 
 
 def _conditional_shift(n_outcomes: int, middle_dim: int, device_dim: int) -> UnitaryOperator:
-    """Device-shift unitary with an untouched register between object and device."""
+    """Device-shift gather with an untouched register between object and device."""
     if n_outcomes < 1 or device_dim < 1 or middle_dim < 1:
         raise ShapeError("register dimensions must be >= 1")
     if device_dim < n_outcomes:
@@ -182,14 +182,11 @@ def _conditional_shift(n_outcomes: int, middle_dim: int, device_dim: int) -> Uni
     total = n_outcomes * middle_dim * device_dim
     if total > DIM_CAP:
         raise CapacityError(f"operator dimension {total} exceeds the cap {DIM_CAP}")
-    src = np.arange(total)
-    obj = src // (middle_dim * device_dim)
-    mid = (src // device_dim) % middle_dim
-    dev = src % device_dim
-    tgt = (obj * middle_dim + mid) * device_dim + (dev + obj) % device_dim
-    entries = np.zeros((total, total), dtype=np.complex128)
-    entries[tgt, src] = 1.0
-    return UnitaryOperator(entries, total)
+    idx = np.arange(total)
+    obj = idx // (middle_dim * device_dim)
+    dev = idx % device_dim
+    # (U a)[(o, m, d)] = a[(o, m, (d - o) mod device_dim)]
+    return UnitaryOperator(np.eye(1), total, perm=idx - dev + (dev - obj) % device_dim)
 
 
 def interact_and_branch(
@@ -278,13 +275,6 @@ def _preparation_unitary(amplitudes: np.ndarray) -> np.ndarray:
     return q
 
 
-def _swap_indices(dim: int, a: int, b: int) -> np.ndarray:
-    perm = np.eye(dim, dtype=np.complex128)
-    if a != b:
-        perm[[a, b]] = perm[[b, a]]
-    return perm
-
-
 def _object_outcome(state: StateVector, object_dim: int) -> int:
     """Index of the (essentially definite) object register of a branch state."""
     marginal = np.abs(state.amplitudes.reshape(object_dim, -1)) ** 2
@@ -340,17 +330,11 @@ def build_chain_tree(
         weights = [tree.node(c).weight for c in children]
         followed = children[int(np.argmax(weights))]
         outcome = _object_outcome(tree.node(followed).state, object_dim)
-        rest_dim = tree.node(followed).state.dim // object_dim
-        reprep = np.kron(
-            prep @ _swap_indices(object_dim, 0, outcome),
-            np.eye(rest_dim, dtype=np.complex128),
-        )
-        interact_and_branch(
-            tree,
-            followed,
-            UnitaryOperator(reprep, tree.node(followed).state.dim),
-            split,
-        )
+        cols = np.arange(object_dim)
+        cols[[0, outcome]] = outcome, 0
+        # prep with columns 0 and outcome swapped, acting on the object register only
+        reprep = UnitaryOperator(prep[:, cols], tree.node(followed).state.dim)
+        interact_and_branch(tree, followed, reprep, split)
     return tree
 
 

@@ -1,8 +1,9 @@
 """Command-line front end: one subcommand per experiment.
 
 Exit codes: 0 success, 2 invalid configuration, 3 unreadable or unwritable
-file, 4 resource cap exceeded. Flags override config-file values; all
-validation happens before any computation starts.
+file, 4 resource cap exceeded or out of memory, 5 numerical self-check
+failed (a decomposition missed its own tolerance). Flags override
+config-file values; all validation happens before any computation starts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from . import __version__
 from .branching import BranchTree, interact_and_branch, premeasurement_unitary, run_chain_protocol
 from .experiments import (
-    WALK_DEPTH_CAP,
     DEFAULT_PLANCK_TIME_S,
     DEFAULT_UNIVERSE_AGE_S,
     WorldCountConfig,
@@ -39,7 +39,9 @@ from .reporting import (
     SchmidtReport,
     emit_report,
 )
-from .schmidt import entanglement_entropy, reconstruct, schmidt_decompose, spectra_gap
+from .schmidt import (
+    DecompositionError, entanglement_entropy, reconstruct, schmidt_decompose, spectra_gap,
+)
 
 
 class ConfigFileError(Exception):
@@ -142,13 +144,6 @@ def _run_worlds(p: dict, seed: int):
     )
 
 
-def _check_evolve(p: dict) -> None:
-    if p["mode"] == "full-branching" and p["depth"] > WALK_DEPTH_CAP:
-        raise ConfigError(
-            f"depth {p['depth']} exceeds the full-branching cap {WALK_DEPTH_CAP}"
-        )
-
-
 def _check_worlds(p: dict) -> None:
     if p["universe_age_s"] <= p["planck_time_s"]:
         raise ConfigError("universe-age-s must exceed planck-time-s")
@@ -228,7 +223,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                   help="trials (single-history mode)"),
         ),
         lambda p, seed: evolution_walk(p["depth"], p["mode"], seed, p["trials"]),
-        cross_check=_check_evolve,
         help="complexity random walk with reflecting barrier",
     ),
 }
@@ -379,6 +373,12 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4
+    except DecompositionError as exc:
+        print(f"error: numerical self-check failed: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

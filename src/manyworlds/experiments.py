@@ -17,8 +17,6 @@ import numpy as np
 
 from .rng import gaussian_amplitude_batch, trial_rng
 
-WALK_DEPTH_CAP = 24  # full-branching mode enumerates 2**depth histories
-
 DEFAULT_UNIVERSE_AGE_S = 4.35e17
 DEFAULT_PLANCK_TIME_S = 5.39e-44
 
@@ -182,29 +180,26 @@ def evolution_walk(
 
     Complexity starts at 0; each step is a +-1 mutation and a downward step
     at 0 stays at 0. In "full-branching" mode every one of the 2**depth
-    outcome sequences is realized as its own branch (uniform weights), so
-    the maximal branch always reaches complexity = depth. In
-    "single-history" mode one seeded trajectory is followed per trial and
-    statistics are taken over trials.
+    outcome sequences is its own branch (uniform weights), so the maximal
+    branch always reaches complexity = depth; its statistics are exact,
+    from an O(depth^2) recursion over the integer branch count at each
+    complexity value. In "single-history" mode one seeded trajectory is
+    followed per trial and statistics are taken over trials.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if mode == "full-branching":
-        if depth > WALK_DEPTH_CAP:
-            raise ValueError(
-                f"depth {depth} exceeds the exhaustive-enumeration cap {WALK_DEPTH_CAP}"
-            )
-        complexities = np.zeros(1, dtype=np.int8)
+        counts = [1]  # counts[c]: number of histories ending at complexity c
         for _ in range(depth):
-            complexities = np.concatenate(
-                [np.maximum(complexities - 1, 0), complexities + 1]
-            )
+            down = counts[1:] + [0, 0]
+            down[0] += counts[0]
+            counts = [a + b for a, b in zip(down, [0] + counts)]
         return ComplexityReport(
             depth=depth,
             mode=mode,
-            max_complexity=int(complexities.max()),
-            mean_final_complexity=float(complexities.mean(dtype=np.float64)),
-            branch_count=int(complexities.size),
+            max_complexity=max(c for c, n in enumerate(counts) if n),
+            mean_final_complexity=sum(c * n for c, n in enumerate(counts)) / 2**depth,
+            branch_count=2**depth,
         )
     if mode == "single-history":
         if trials < 1:

@@ -1,15 +1,18 @@
-"""Dense finite-dimensional quantum state and operator arithmetic.
+"""Finite-dimensional quantum state and operator arithmetic.
 
-State vectors carry an explicit list of subsystem dimensions over a
-tensor-product basis. All values are immutable after construction and all
-operations are pure functions, so they are safe to share across workers.
+State vectors are dense amplitude arrays that carry an explicit list of
+subsystem dimensions over a tensor-product basis. Unitaries are stored as a
+small factor on the leading register plus an optional basis-index gather, so
+a coupling of the whole space costs O(dim) memory, not O(dim^2). All values
+are immutable after construction and all operations are pure functions, so
+they are safe to share across workers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -20,7 +23,7 @@ EPS_NORM = 1e-12    # allowed deviation from unit norm
 EPS_HERM = 1e-12    # allowed Hermiticity / trace deviation
 EPS_EIG = 1e-10     # eigensolve residual and orthonormality tolerance
 EPS_RANK = 1e-10    # spectrum entries at or below this count as exact zeros
-DIM_CAP = 2**14     # hard cap on total dimension (dense storage only)
+DIM_CAP = 2**14     # hard cap on the total dimension of a state
 
 # Eigenvalues closer than this are treated as one degenerate cluster and get
 # a deterministic basis; see eig_hermitian.
@@ -142,35 +145,43 @@ class BipartiteSplit:
 
 @dataclass(frozen=True)
 class UnitaryOperator:
-    """Square matrix with U†U = I within EPS_EIG (max-entry deviation)."""
+    """Unitary U = kron(L, I_{dim/k}) P on a dim-dimensional space.
+
+    `entries` is the k x k unitary factor L acting on the leading k-dimensional
+    factor of the basis (k must divide dim); `perm`, when given, is the basis
+    index gather P with (P a)[i] = a[perm[i]], so U is never stored as a dim x
+    dim matrix. A dense operator is k = dim without a gather; a permutation is
+    k = 1 with one. U†U = I is checked within EPS_EIG (max-entry deviation) on
+    L alone, and `perm` must hold every index of range(dim) exactly once.
+    """
 
     entries: np.ndarray
     dim: int
+    perm: Optional[np.ndarray] = None
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeError(f"unitary must be square, got shape {mat.shape}")
-        if mat.shape[0] != self.dim:
-            raise ShapeError(f"declared dim {self.dim} != matrix size {mat.shape[0]}")
-        if not _is_permutation_with_unit_entries(mat):
-            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(self.dim)))
-            if dev > EPS_EIG:
-                raise ShapeError(f"operator is not unitary (max |U†U - I| = {dev:.3e})")
+            raise ShapeError(f"unitary factor must be square, got shape {mat.shape}")
+        k = mat.shape[0]
+        if k < 1 or self.dim < 1 or self.dim % k:
+            raise ShapeError(f"factor size {k} does not divide declared dim {self.dim}")
+        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(k)))
+        if dev > EPS_EIG:
+            raise ShapeError(f"operator is not unitary (max |U†U - I| = {dev:.3e})")
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
-
-
-def _is_permutation_with_unit_entries(mat: np.ndarray) -> bool:
-    # O(dim^2) screen that avoids the O(dim^3) U†U product for the
-    # permutation operators used in measurement models at large dims.
-    nonzero = np.abs(mat) > 0.0
-    if np.count_nonzero(nonzero) != mat.shape[0]:
-        return False
-    if not (nonzero.sum(axis=0) == 1).all() or not (nonzero.sum(axis=1) == 1).all():
-        return False
-    return bool(np.all(np.abs(np.abs(mat[nonzero]) - 1.0) <= EPS_EIG))
+        if self.perm is not None:
+            perm = np.array(self.perm, dtype=np.intp)
+            if perm.shape != (self.dim,):
+                raise ShapeError(f"gather of shape {perm.shape} does not fit dim {self.dim}")
+            if perm.min() < 0 or perm.max() >= self.dim or not np.all(
+                np.bincount(perm, minlength=self.dim) == 1
+            ):
+                raise ShapeError("gather must hold every basis index exactly once")
+            perm.flags.writeable = False
+            object.__setattr__(self, "perm", perm)
 
 
 def make_state(amplitudes, dims) -> StateVector:
@@ -207,10 +218,12 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def apply_unitary(u: UnitaryOperator, psi: StateVector) -> StateVector:
-    """Return U|psi>. The construction re-checks the unit norm."""
+    """Return U|psi>: gather, then apply L to the leading register; re-checks the norm."""
     if u.dim != psi.dim:
         raise ShapeError(f"operator dim {u.dim} != state dim {psi.dim}")
-    return StateVector(u.entries @ psi.amplitudes, psi.dims)
+    amps = psi.amplitudes if u.perm is None else psi.amplitudes[u.perm]
+    k = u.entries.shape[0]
+    return StateVector((u.entries @ amps.reshape(k, -1)).reshape(-1), psi.dims)
 
 
 def density_of(psi: StateVector) -> DensityMatrix:

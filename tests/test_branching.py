@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from manyworlds import (
     tensor,
     total_entropy,
 )
+from manyworlds.branching import _conditional_shift, _preparation_unitary
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -43,7 +45,8 @@ def equal_split_unitary():
 class TestPremeasurementUnitary:
     def test_two_outcomes_is_cnot(self):
         u = premeasurement_unitary(2, 2)
-        assert np.array_equal(u.entries.real, CNOT)
+        for j in range(4):
+            assert np.array_equal(apply_unitary(u, basis_state(j, 4)).amplitudes, CNOT[:, j])
 
     @pytest.mark.parametrize("n,device", [(2, 2), (3, 3), (3, 5), (4, 4)])
     def test_copies_each_outcome_to_pointer(self, n, device):
@@ -78,7 +81,37 @@ class TestPremeasurementUnitary:
 
     def test_unit_outcome_is_identity(self):
         u = premeasurement_unitary(1, 4)
-        assert np.array_equal(u.entries.real, np.eye(4))
+        for j in range(4):
+            assert np.array_equal(apply_unitary(u, basis_state(j, 4)).amplitudes, np.eye(4)[:, j])
+
+    @pytest.mark.parametrize(
+        "n,middle,device", [(1, 1, 1), (2, 1, 2), (2, 3, 2), (3, 1, 5), (3, 4, 3), (4, 2, 6)]
+    )
+    def test_conditional_shift_equals_dense_product(self, n, middle, device):
+        total = n * middle * device
+        src = np.arange(total)
+        obj, mid, dev = src // (middle * device), (src // device) % middle, src % device
+        tgt = (obj * middle + mid) * device + (dev + obj) % device
+        dense = np.eye(total)[:, tgt]
+        u = _conditional_shift(n, middle, device)
+        for seed in range(3):
+            psi = haar_random_state(total, seed)
+            got = apply_unitary(u, psi).amplitudes
+            assert np.max(np.abs(got - dense @ psi.amplitudes)) <= 1e-15
+
+    @pytest.mark.parametrize("k,rest,outcome", [(2, 1, 1), (2, 8, 0), (3, 9, 2), (4, 16, 3)])
+    def test_repreparation_equals_dense_product(self, k, rest, outcome):
+        prep = _preparation_unitary(haar_random_state(k, k + rest).amplitudes)
+        swap = np.eye(k)
+        swap[[0, outcome]] = swap[[outcome, 0]]
+        cols = np.arange(k)
+        cols[[0, outcome]] = outcome, 0
+        u = UnitaryOperator(prep[:, cols], k * rest)
+        dense = np.kron(prep @ swap, np.eye(rest))
+        for seed in range(3):
+            psi = haar_random_state(k * rest, 100 + seed)
+            got = apply_unitary(u, psi).amplitudes
+            assert np.max(np.abs(got - dense @ psi.amplitudes)) <= 1e-15
 
 
 class TestBranchEntropy:
@@ -329,3 +362,22 @@ class TestChainProtocol:
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
             run_chain_protocol(2, 14, amplitudes=[1, 1], seed=0)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOperatorMemory:
+    """Couplings cost O(dim) memory; a dense operator would cost 16 * dim**2 bytes."""
+
+    def test_chain_tree_peak(self):
+        assert _peak_bytes(build_chain_tree, 2, 10) < 4 * 2**20
+
+    def test_premeasurement_peak(self):
+        assert _peak_bytes(premeasurement_unitary, 32, 32) < 2**20

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from manyworlds import cli
 from manyworlds.cli import main, parse_config
 from manyworlds.experiments import (
     ComplexityReport,
@@ -20,6 +21,7 @@ from manyworlds.reporting import (
     format_float,
     parse_report,
 )
+from manyworlds.schmidt import DecompositionError
 
 
 class TestParseConfig:
@@ -93,8 +95,22 @@ class TestExitCodes:
     def test_dimension_cap_is_four(self, capsys):
         assert main(["chain", "--dim", "2", "--devices", "14"]) == 4
 
-    def test_depth_cap_is_two(self, capsys):
-        assert main(["evolve", "--depth", "25", "--mode", "full-branching"]) == 2
+    def test_out_of_memory_is_four(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli, "run_chain_protocol", exhausted)
+        assert main(["chain", "--dim", "2", "--devices", "3"]) == 4
+        assert capsys.readouterr().err == "error: out of memory: cannot allocate\n"
+
+    def test_failed_self_check_is_five(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise DecompositionError("reconstruction residual 1e-3")
+
+        monkeypatch.setattr(cli, "schmidt_decompose", failing)
+        assert main(["schmidt", "--d-left", "2", "--d-right", "2"]) == 5
+        err = capsys.readouterr().err
+        assert err == "error: numerical self-check failed: reconstruction residual 1e-3\n"
 
     def test_validation_happens_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "never.json"
@@ -110,7 +126,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.2.0"
+        assert payload["version"] == "0.3.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"
@@ -159,6 +175,28 @@ class TestOutputs:
         assert result["spectra_gap"] < 1e-10
         assert result["reconstruction_error"] < 1e-10
         assert abs(sum(result["lambdas"]) - 1.0) < 1e-10
+
+
+class TestRunsAtDimensionCap:
+    """Runs whose total dimension is exactly DIM_CAP finish and keep the invariants."""
+
+    def test_chain_at_cap(self, tmp_path, capsys):
+        out = tmp_path / "chain.json"
+        assert main(["chain", "--dim", "2", "--devices", "13", "--seed", "5",
+                     "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        steps = result["entropy_steps"]
+        assert len(steps) == 1 + 2 * 13
+        assert all(b >= a - 1e-12 for a, b in zip(steps, steps[1:]))
+        assert result["final_entropy"] == steps[-1]
+
+    def test_branch_at_cap(self, tmp_path, capsys):
+        out = tmp_path / "branch.json"
+        assert main(["branch", "--dim", "128", "--seed", "5", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["n_branches"] == len(result["weights"]) == 128
+        assert abs(math.fsum(result["weights"]) - 1.0) < 1e-10
+        assert abs(result["total_entropy"] - math.fsum(result["branch_entropies"])) < 1e-10
 
 
 PAYLOADS = [

@@ -107,6 +107,15 @@ class TestApplyUnitary:
         with pytest.raises(ShapeError, match="unitary"):
             UnitaryOperator(np.ones((2, 2)), 2)
 
+    @pytest.mark.parametrize("perm", [[0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2]])
+    def test_malformed_gather_rejected(self, perm):
+        with pytest.raises(ShapeError):
+            UnitaryOperator(np.eye(1), 4, perm=perm)
+
+    def test_factor_must_divide_dim(self):
+        with pytest.raises(ShapeError, match="divide"):
+            UnitaryOperator(np.eye(4), 6)
+
 
 class TestDensityOf:
     def test_ground_projector(self):
