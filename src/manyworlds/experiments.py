@@ -2,9 +2,9 @@
 
 Four drivers: uniform-random overlap statistics, the polarizer chain and its
 random-projection counterpart, world-count order-of-magnitude estimates, and
-complexity random walks with a reflecting barrier at zero. Every trial draws
-from its own (seed, trial index) generator and results are accumulated in
-trial order, so reports are reproducible bit for bit.
+complexity random walks with a reflecting barrier at zero. Trial t reads its
+own block of the seed's trial stream (see `rng`), so chunks of trials are
+drawn and evaluated at once and reports do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import gaussian_amplitude_batch, trial_rng
+from . import rng
+from .hilbert import _check_dims
 
 DEFAULT_UNIVERSE_AGE_S = 4.35e17
 DEFAULT_PLANCK_TIME_S = 5.39e-44
@@ -77,8 +78,32 @@ def _mean_and_std_error(samples: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(samples, ddof=1) / math.sqrt(samples.size))
 
 
-def _normalized_rows(raw: np.ndarray) -> np.ndarray:
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+def _trial_blocks(seed: int, trials: int, uniforms: int):
+    """Each trial's row of uniforms, in chunks of at most rng.TRIAL_CHUNK uniforms."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    per_trial = 4 * max(1, -(-uniforms // 4))
+    chunk = max(1, rng.TRIAL_CHUNK // per_trial)
+    return (rng.trial_uniforms(seed, first, min(chunk, trials - first), per_trial)
+            for first in range(0, trials, chunk))
+
+
+def _chain_transmissions(dim: int, k: int, trials: int, seed: int) -> np.ndarray:
+    """Per trial, the product of |<s_i|s_i+1>|^2 along k + 2 uniformly random states.
+
+    Amplitudes are sqrt(-ln(1 - u1)) exp(2 pi i u2), the polar form of
+    Box-Muller; their scale drops out when each state is normalized.
+    """
+    _check_dims((dim,))
+    n = (k + 2) * dim
+    probs = []
+    for u in _trial_blocks(seed, trials, 2 * n):
+        amps = np.sqrt(-np.log1p(-u[:, :n])) * np.exp(2j * np.pi * u[:, n:2 * n])
+        states = amps.reshape(-1, k + 2, dim)
+        states /= np.linalg.norm(states, axis=2, keepdims=True)
+        overlaps = np.abs(np.sum(states[:, :-1].conj() * states[:, 1:], axis=2)) ** 2
+        probs.append(np.prod(overlaps, axis=1))
+    return np.concatenate(probs)
 
 
 def overlap_statistics(dim: int, trials: int, seed: int) -> OverlapReport:
@@ -88,15 +113,7 @@ def overlap_statistics(dim: int, trials: int, seed: int) -> OverlapReport:
     complex space the squared overlap follows Beta(1, N-1), so the mean
     tends to 1/N.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    overlaps = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        pair = _normalized_rows(gaussian_amplitude_batch(trial_rng(seed, t), 2, dim))
-        overlaps[t] = abs(np.vdot(pair[0], pair[1])) ** 2
-    mean, err = _mean_and_std_error(overlaps)
+    mean, err = _mean_and_std_error(_chain_transmissions(dim, 0, trials, seed))
     return OverlapReport(dim, trials, mean, err, seed)
 
 
@@ -139,18 +156,7 @@ def random_projection_chain(dim: int, k: int, trials: int, seed: int) -> ZenoRep
         raise ValueError(f"dimension must be >= 2, got {dim}")
     if k < 0:
         raise ValueError(f"intermediate projector count must be >= 0, got {k}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    probs = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        states = _normalized_rows(
-            gaussian_amplitude_batch(trial_rng(seed, t), k + 2, dim)
-        )
-        p = 1.0
-        for stage in range(k + 1):
-            p *= abs(np.vdot(states[stage], states[stage + 1])) ** 2
-        probs[t] = p
-    mean, _ = _mean_and_std_error(probs)
+    mean, _ = _mean_and_std_error(_chain_transmissions(dim, k, trials, seed))
     return ZenoReport(k, mean, "random-projection", trials=trials, seed=seed)
 
 
@@ -181,36 +187,32 @@ def evolution_walk(
     Complexity starts at 0; each step is a +-1 mutation and a downward step
     at 0 stays at 0. In "full-branching" mode every one of the 2**depth
     outcome sequences is its own branch (uniform weights), so the maximal
-    branch always reaches complexity = depth; its statistics are exact,
-    from an O(depth^2) recursion over the integer branch count at each
-    complexity value. In "single-history" mode one seeded trajectory is
-    followed per trial and statistics are taken over trials.
+    branch always reaches complexity = depth; its statistics are exact, as
+    comb(depth, (depth + c + 1) // 2) histories end at complexity c. In
+    "single-history" mode one seeded trajectory is followed per trial and
+    statistics are taken over trials.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if mode == "full-branching":
-        counts = [1]  # counts[c]: number of histories ending at complexity c
-        for _ in range(depth):
-            down = counts[1:] + [0, 0]
-            down[0] += counts[0]
-            counts = [a + b for a, b in zip(down, [0] + counts)]
+        count, weighted = 1, 0  # count = comb(depth, j), stepping j down from depth
+        for j in range(depth, (depth - 1) // 2, -1):  # ends at 2j-depth-1 and at 2j-depth
+            weighted += count * (max(2 * j - depth - 1, 0) + 2 * j - depth)
+            count = count * j // (depth - j + 1)
         return ComplexityReport(
             depth=depth,
             mode=mode,
-            max_complexity=max(c for c, n in enumerate(counts) if n),
-            mean_final_complexity=sum(c * n for c, n in enumerate(counts)) / 2**depth,
+            max_complexity=depth,
+            mean_final_complexity=weighted / 2**depth,
             branch_count=2**depth,
         )
     if mode == "single-history":
-        if trials < 1:
-            raise ValueError(f"need at least one trial, got {trials}")
-        finals = np.empty(trials, dtype=np.int64)
-        for t in range(trials):
-            steps = trial_rng(seed, t).integers(0, 2, size=depth) * 2 - 1
-            c = 0
-            for s in steps:
-                c = max(c + int(s), 0)
-            finals[t] = c
+        finals = []
+        for u in _trial_blocks(seed, trials, depth):
+            walk = np.zeros((len(u), depth + 1), dtype=np.int64)  # W_0 = 0
+            np.cumsum(np.where(u[:, :depth] >= 0.5, 1, -1), axis=1, out=walk[:, 1:])
+            finals.append(walk[:, -1] - walk.min(axis=1))  # Skorokhod map
+        finals = np.concatenate(finals)
         return ComplexityReport(
             depth=depth,
             mode=mode,

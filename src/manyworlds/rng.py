@@ -1,8 +1,9 @@
 """Pinned deterministic random number generation.
 
-Every stochastic routine in this package draws from numpy's PCG64 stream
-seeded through this module, so a (seed, trial index) pair fully determines
-every random draw, bit for bit, independent of call order elsewhere.
+Random states and unitaries draw from a PCG64 stream per seed. Monte Carlo
+trial t reads the fixed block of uniforms at counter offset t * per_trial
+of one Philox stream keyed by the seed (Salmon et al., SC 2011), so a chunk
+of trials is one draw and any trial can be replayed on its own.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 _SEED_MODULUS = 2**64
+
+TRIAL_CHUNK = 2**14  # most uniforms drawn at once for a chunk of Monte Carlo trials
 
 
 def canonical_seed(seed: int) -> int:
@@ -28,17 +31,22 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(canonical_seed(seed))
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Independent PCG64 generator for one trial of a seeded experiment.
+def trial_rng(seed: int, first: int, per_trial: int) -> np.random.Generator:
+    """The seed's trial stream, positioned at the start of trial `first`.
 
-    The (seed, trial_index) pair is fed to a SeedSequence, so trial streams
-    never overlap and any trial can be reproduced in isolation.
+    `per_trial` is a positive multiple of 4: Philox counts 4-word blocks.
     """
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
-    return np.random.default_rng(
-        np.random.SeedSequence((canonical_seed(seed), int(trial_index)))
-    )
+    if first < 0 or per_trial < 4 or per_trial % 4:
+        raise ValueError(f"need first >= 0 and per_trial a positive multiple of 4, "
+                         f"got {first} and {per_trial}")
+    bits = np.random.Philox(key=canonical_seed(seed))
+    bits.advance(int(first) * per_trial // 4)
+    return np.random.Generator(bits)
+
+
+def trial_uniforms(seed: int, first: int, count: int, per_trial: int) -> np.ndarray:
+    """Uniforms of `count` trials from `first` on; row t depends only on (seed, first + t)."""
+    return trial_rng(seed, first, per_trial).random((count, per_trial))
 
 
 def gaussian_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -49,13 +57,3 @@ def gaussian_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
     """
     z = rng.standard_normal(2 * dim)
     return z[:dim] + 1j * z[dim:]
-
-
-def gaussian_amplitude_batch(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Batch form of :func:`gaussian_amplitudes`: rows of a (count, dim) array.
-
-    Row k consumes the same 2*dim draws it would consume when drawn
-    one at a time from the same generator state.
-    """
-    z = rng.standard_normal((count, 2 * dim))
-    return z[:, :dim] + 1j * z[:, dim:]

@@ -115,16 +115,16 @@ def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecompo
 def spectra_gap(psi: StateVector, split: BipartiteSplit) -> float:
     """Self-diagnostic: distance between the two reduced spectra.
 
-    Both reduced matrices of a pure state must share their nonzero spectrum;
-    it forms and eigensolves both, independently of schmidt_decompose, and
-    returns the max elementwise difference between the two descending
-    nonzero spectra, with the shorter list padded by zeros.
+    Both reduced matrices of a pure state must share their nonzero spectrum.
+    Independently of schmidt_decompose, it eigensolves the smaller one, takes
+    the other from the singular values of the amplitude matrix, and returns
+    the max elementwise gap between the descending nonzero spectra, zero-padded.
     """
     split.require_match(psi)
-    spectra = []
-    for side in ("left", "right"):
-        w = np.linalg.eigvalsh(partial_trace(psi, split, side).entries)[::-1]
-        spectra.append(w[w > EPS_RANK])
+    side = "left" if split.d_left <= split.d_right else "right"
+    eigen = np.linalg.eigvalsh(partial_trace(psi, split, side).entries)[::-1]
+    m = psi.amplitudes.reshape(split.d_left, split.d_right)
+    spectra = [w[w > EPS_RANK] for w in (eigen, np.linalg.svd(m, compute_uv=False) ** 2)]
     n = max(s.size for s in spectra)
     padded = [np.pad(s, (0, n - s.size)) for s in spectra]
     return float(np.max(np.abs(padded[0] - padded[1]))) if n else 0.0

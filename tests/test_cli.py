@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from manyworlds import cli
+from manyworlds import DIM_CAP, cli
 from manyworlds.cli import main, parse_config
 from manyworlds.experiments import (
     ComplexityReport,
@@ -95,6 +95,16 @@ class TestExitCodes:
     def test_dimension_cap_is_four(self, capsys):
         assert main(["chain", "--dim", "2", "--devices", "14"]) == 4
 
+    @pytest.mark.parametrize("args", [
+        ["overlap", "--trials", "1"],
+        ["zeno-random", "--k", "0", "--trials", "1"],
+    ])
+    def test_monte_carlo_dimension_cap_is_four(self, tmp_path, capsys, args):
+        out = tmp_path / "never.json"
+        assert main(args + ["--dim", str(DIM_CAP + 1), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: total dimension")
+        assert not out.exists()
+
     def test_out_of_memory_is_four(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate")
@@ -126,7 +136,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.3.0"
+        assert payload["version"] == "0.4.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"
@@ -189,6 +199,16 @@ class TestRunsAtDimensionCap:
         assert len(steps) == 1 + 2 * 13
         assert all(b >= a - 1e-12 for a, b in zip(steps, steps[1:]))
         assert result["final_entropy"] == steps[-1]
+
+    def test_schmidt_at_cap(self, tmp_path, capsys):
+        out = tmp_path / "schmidt.json"
+        assert main(["schmidt", "--d-left", str(DIM_CAP), "--d-right", "1", "--seed", "5",
+                     "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["rank"] == len(result["lambdas"]) == 1
+        assert abs(result["lambdas"][0] - 1.0) < 1e-10
+        assert result["spectra_gap"] < 1e-10
+        assert result["reconstruction_error"] < 1e-10
 
     def test_branch_at_cap(self, tmp_path, capsys):
         out = tmp_path / "branch.json"

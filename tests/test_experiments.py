@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from manyworlds import (
+    DIM_CAP,
+    CapacityError,
     WorldCountConfig,
     evolution_walk,
     overlap_statistics,
@@ -10,6 +13,7 @@ from manyworlds import (
     random_projection_chain,
     world_count,
 )
+from manyworlds import rng
 
 
 def walk_distribution(depth):
@@ -22,6 +26,16 @@ def walk_distribution(depth):
                 nxt[target] = nxt.get(target, 0.0) + p / 2
         probs = nxt
     return probs
+
+
+def full_branching_counts(depth):
+    """Histories ending at each complexity, by the step-by-step count recursion."""
+    counts = [1]
+    for _ in range(depth):
+        down = counts[1:] + [0, 0]
+        down[0] += counts[0]
+        counts = [a + b for a, b in zip(down, [0] + counts)]
+    return counts
 
 
 def walk_mean_var(depth):
@@ -63,6 +77,10 @@ class TestOverlapStatistics:
             overlap_statistics(0, 10, seed=0)
         with pytest.raises(ValueError):
             overlap_statistics(2, 0, seed=0)
+
+    def test_dimension_cap(self):
+        with pytest.raises(CapacityError):
+            overlap_statistics(DIM_CAP + 1, 1, seed=0)
 
 
 class TestPolarizerChain:
@@ -134,6 +152,10 @@ class TestRandomProjectionChain:
         with pytest.raises(ValueError):
             random_projection_chain(4, -1, trials=10, seed=0)
 
+    def test_dimension_cap(self):
+        with pytest.raises(CapacityError):
+            random_projection_chain(DIM_CAP + 1, 0, trials=1, seed=0)
+
 
 class TestWorldCount:
     def test_linear_default_constants(self):
@@ -194,6 +216,16 @@ class TestEvolutionWalk:
         assert report.max_complexity == 20
         assert report.branch_count == 2**20
 
+    def test_full_branching_matches_count_recursion(self):
+        for depth in range(201):
+            counts = full_branching_counts(depth)
+            report = evolution_walk(depth, "full-branching")
+            assert report.max_complexity == max(c for c, n in enumerate(counts) if n)
+            assert report.mean_final_complexity == (
+                sum(c * n for c, n in enumerate(counts)) / 2**depth
+            )
+            assert report.branch_count == sum(counts) == 2**depth
+
     @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8, 12, 25, 40])
     def test_full_branching_mean_matches_distribution_oracle(self, depth):
         report = evolution_walk(depth, "full-branching")
@@ -217,3 +249,74 @@ class TestEvolutionWalk:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             evolution_walk(3, "both-at-once")
+
+
+class TestTrialStream:
+    """Trial t reads its own block of the seed's stream, however trials are chunked."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+    @pytest.mark.parametrize("per_trial", [4, 12, 256])
+    def test_isolated_trial_equals_its_batch_row(self, seed, per_trial):
+        chunk = rng.TRIAL_CHUNK // per_trial
+        batch = rng.trial_uniforms(seed, 0, 2 * chunk + 1, per_trial)
+        for t in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk):
+            assert np.array_equal(rng.trial_uniforms(seed, t, 1, per_trial)[0], batch[t])
+        pair = rng.trial_uniforms(seed, chunk - 1, 2, per_trial)
+        assert np.array_equal(pair, batch[chunk - 1:chunk + 1])
+
+    def test_seeds_give_distinct_streams(self):
+        rows = [rng.trial_uniforms(seed, 0, 1, 4)[0] for seed in (0, 1, -1)]
+        assert not np.array_equal(rows[0], rows[1])
+        assert not np.array_equal(rows[0], rows[2])
+
+    @pytest.mark.parametrize("per_trial", [0, 1, 6, 258])
+    def test_block_must_be_a_positive_multiple_of_four(self, per_trial):
+        with pytest.raises(ValueError):
+            rng.trial_uniforms(0, 0, 1, per_trial)
+
+    def test_negative_trial_index_rejected(self):
+        with pytest.raises(ValueError):
+            rng.trial_uniforms(0, -1, 1, 4)
+
+    def test_reports_do_not_depend_on_chunk_size(self, monkeypatch):
+        runs = [
+            lambda: overlap_statistics(16, 301, seed=4),
+            lambda: overlap_statistics(3, 101, seed=-1),
+            lambda: random_projection_chain(8, 3, trials=201, seed=4),
+            lambda: evolution_walk(9, "single-history", seed=4, trials=301),
+            lambda: evolution_walk(0, "single-history", seed=4, trials=7),
+        ]
+        default = [run() for run in runs]
+        monkeypatch.setattr(rng, "TRIAL_CHUNK", 4)
+        assert [run() for run in runs] == default
+
+    @pytest.mark.parametrize("dim,k", [(3, 0), (4, 2), (16, 1)])
+    def test_projection_chain_replays_trial_by_trial(self, dim, k):
+        trials, seed = 200, 5
+        n = (k + 2) * dim
+        per_trial = 4 * -(-2 * n // 4)
+        probs = []
+        for t in range(trials):
+            u = rng.trial_uniforms(seed, t, 1, per_trial)[0]
+            amps = np.sqrt(-np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:2 * n])
+            states = [s / np.linalg.norm(s) for s in amps.reshape(k + 2, dim)]
+            p = 1.0
+            for a, b in zip(states, states[1:]):
+                p *= abs(np.vdot(a, b)) ** 2
+            probs.append(p)
+        report = random_projection_chain(dim, k, trials=trials, seed=seed)
+        assert abs(report.transmission_probability - np.mean(probs)) <= 1e-14 * np.mean(probs)
+
+    @pytest.mark.parametrize("depth", [0, 1, 4, 7, 10])
+    def test_single_history_replays_step_by_step(self, depth):
+        trials, seed = 300, 11
+        per_trial = 4 * max(1, -(-depth // 4))
+        finals = []
+        for t in range(trials):
+            c = 0
+            for u in rng.trial_uniforms(seed, t, 1, per_trial)[0, :depth]:
+                c = max(c + (1 if u >= 0.5 else -1), 0)
+            finals.append(c)
+        report = evolution_walk(depth, "single-history", seed=seed, trials=trials)
+        assert report.max_complexity == max(finals)
+        assert report.mean_final_complexity == sum(finals) / trials

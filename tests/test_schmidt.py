@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ class TestSpectraGap:
         d_left, d_right = [(2, 2), (2, 8), (4, 4), (4, 6), (8, 8)][seed % 5]
         psi = haar_random_state(d_left * d_right, seed)
         assert spectra_gap(psi, BipartiteSplit(d_left, d_right)) < 1e-10
+
+    @pytest.mark.parametrize("d_left,d_right", [(2048, 1), (1, 2048)])
+    def test_never_forms_the_larger_reduced_matrix(self, d_left, d_right):
+        # the larger reduced matrix alone would take 16 * 2048**2 bytes = 64 MiB
+        psi = haar_random_state(d_left * d_right, 1)
+        tracemalloc.start()
+        try:
+            gap = spectra_gap(psi, BipartiteSplit(d_left, d_right))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap < 1e-12
+        assert peak < 2**20
 
 
 class TestEntropy:
