@@ -5,6 +5,13 @@ random-projection counterpart, world-count order-of-magnitude estimates, and
 complexity random walks with a reflecting barrier at zero. Trial t reads its
 own block of the seed's trial stream (see `rng`), so chunks of trials are
 drawn and evaluated at once and reports do not depend on the chunking.
+
+The random-state drivers never build a state: a chain of k + 2 uniformly
+random states is sampled from the squared moduli of their amplitudes and
+the relative phases of neighbouring states, which is all its overlaps
+depend on. One trial's block is capped at TRIAL_BLOCK_CAP uniforms and the
+exact full-branching walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs
+raise CapacityError before anything is drawn or summed.
 """
 
 from __future__ import annotations
@@ -16,10 +23,15 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .hilbert import _check_dims
+from .hilbert import CapacityError, _check_dims
 
 DEFAULT_UNIVERSE_AGE_S = 4.35e17
 DEFAULT_PLANCK_TIME_S = 5.39e-44
+
+TRIAL_BLOCK_CAP = 2**24           # most uniforms one trial may need (~0.6 GiB of working arrays)
+# The reported branch count 2**depth must print within Python's default limit
+# of 4300 decimal digits; at this depth the O(depth^2) big-int sums take ~0.04 s.
+FULL_BRANCHING_DEPTH_CAP = 14_284
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,10 @@ def _trial_blocks(seed: int, trials: int, uniforms: int):
     """Each trial's row of uniforms, in chunks of at most rng.TRIAL_CHUNK uniforms."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if uniforms > TRIAL_BLOCK_CAP:
+        raise CapacityError(
+            f"one trial needs {uniforms} uniforms, above the cap {TRIAL_BLOCK_CAP}"
+        )
     per_trial = 4 * max(1, -(-uniforms // 4))
     chunk = max(1, rng.TRIAL_CHUNK // per_trial)
     return (rng.trial_uniforms(seed, first, min(chunk, trials - first), per_trial)
@@ -91,18 +107,32 @@ def _trial_blocks(seed: int, trials: int, uniforms: int):
 def _chain_transmissions(dim: int, k: int, trials: int, seed: int) -> np.ndarray:
     """Per trial, the product of |<s_i|s_i+1>|^2 along k + 2 uniformly random states.
 
-    Amplitudes are sqrt(-ln(1 - u1)) exp(2 pi i u2), the polar form of
-    Box-Muller; their scale drops out when each state is normalized.
+    A uniformly random state has amplitudes sqrt(E_j) exp(i theta_j) up to
+    normalization, with E_j iid Exp(1) and theta_j iid uniform. The overlaps
+    see the phases only through the differences delta_ij = theta_i+1,j -
+    theta_ij (mod 2 pi), which are again iid uniform: the change of variables
+    to (theta_0, delta_0, ..., delta_k) preserves Haar measure on the torus. So
+        |<s_i|s_i+1>|^2 = |sum_j sqrt(E_ij E_i+1,j) e^(i delta_ij)|^2
+                          / (sum_j E_ij * sum_j E_i+1,j).
+    A trial's block holds E_ij = -ln(1 - u) for the (k + 2) dim moduli, then
+    delta_ij = 2 pi u for the (k + 1) dim relative phases. The phase factors
+    come from float32 sin and cos (within 1e-6 rad of 2 pi u) and are scaled
+    back to unit modulus in float64, so each overlap remains one of unit
+    vectors.
     """
     _check_dims((dim,))
-    n = (k + 2) * dim
+    n, m = (k + 2) * dim, (k + 1) * dim
     probs = []
-    for u in _trial_blocks(seed, trials, 2 * n):
-        amps = np.sqrt(-np.log1p(-u[:, :n])) * np.exp(2j * np.pi * u[:, n:2 * n])
-        states = amps.reshape(-1, k + 2, dim)
-        states /= np.linalg.norm(states, axis=2, keepdims=True)
-        overlaps = np.abs(np.sum(states[:, :-1].conj() * states[:, 1:], axis=2)) ** 2
-        probs.append(np.prod(overlaps, axis=1))
+    for u in _trial_blocks(seed, trials, n + m):
+        moduli_sq = -np.log1p(-u[:, :n]).reshape(-1, k + 2, dim)
+        delta = np.float32(2 * np.pi) * u[:, n:n + m].astype(np.float32)
+        cos = np.cos(delta).astype(np.float64).reshape(-1, k + 1, dim)
+        sin = np.sin(delta).astype(np.float64).reshape(-1, k + 1, dim)
+        weights = np.sqrt(moduli_sq[:, :-1] * moduli_sq[:, 1:] / (cos * cos + sin * sin))
+        re = (weights * cos).sum(axis=2)
+        im = (weights * sin).sum(axis=2)
+        norms = moduli_sq.sum(axis=2)
+        probs.append(np.prod((re * re + im * im) / (norms[:, :-1] * norms[:, 1:]), axis=1))
     return np.concatenate(probs)
 
 
@@ -190,11 +220,17 @@ def evolution_walk(
     branch always reaches complexity = depth; its statistics are exact, as
     comb(depth, (depth + c + 1) // 2) histories end at complexity c. In
     "single-history" mode one seeded trajectory is followed per trial and
-    statistics are taken over trials.
+    statistics are taken over trials. Full-branching depths above
+    FULL_BRANCHING_DEPTH_CAP, and single-history depths above
+    TRIAL_BLOCK_CAP, raise CapacityError.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if mode == "full-branching":
+        if depth > FULL_BRANCHING_DEPTH_CAP:
+            raise CapacityError(
+                f"full-branching depth {depth} exceeds the cap {FULL_BRANCHING_DEPTH_CAP}"
+            )
         count, weighted = 1, 0  # count = comb(depth, j), stepping j down from depth
         for j in range(depth, (depth - 1) // 2, -1):  # ends at 2j-depth-1 and at 2j-depth
             weighted += count * (max(2 * j - depth - 1, 0) + 2 * j - depth)

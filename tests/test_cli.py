@@ -1,17 +1,23 @@
 import json
 import math
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manyworlds import DIM_CAP, cli
 from manyworlds.cli import main, parse_config
 from manyworlds.experiments import (
+    FULL_BRANCHING_DEPTH_CAP,
+    TRIAL_BLOCK_CAP,
     ComplexityReport,
     OverlapReport,
     WorldCountReport,
     ZenoReport,
 )
 from manyworlds.reporting import (
+    PAYLOAD_TYPES,
     BranchReport,
     ChainReport,
     ExperimentConfig,
@@ -105,6 +111,35 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: total dimension")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["zeno-random", "--dim", "97", "--k", "86479"],  # (2k + 3) dim = cap + 1
+        ["evolve", "--mode", "single-history", "--depth", str(TRIAL_BLOCK_CAP + 1)],
+    ])
+    def test_trial_block_cap_is_four(self, tmp_path, capsys, args):
+        out = tmp_path / "never.json"
+        assert main(args + ["--trials", "1", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: one trial needs {TRIAL_BLOCK_CAP + 1} uniforms, "
+            f"above the cap {TRIAL_BLOCK_CAP}\n"
+        )
+        assert not out.exists()
+
+    def test_full_branching_depth_cap_is_four(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        depth = FULL_BRANCHING_DEPTH_CAP + 1
+        assert main(["evolve", "--mode", "full-branching", "--depth", str(depth),
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: full-branching depth {depth}")
+        assert not out.exists()
+
+    def test_full_branching_at_depth_cap_reports(self, tmp_path, capsys):
+        out = tmp_path / "walk.json"
+        assert main(["evolve", "--mode", "full-branching",
+                     "--depth", str(FULL_BRANCHING_DEPTH_CAP), "--out", str(out)]) == 0
+        result = parse_report(out.read_bytes(), "json").result
+        assert result.branch_count == 2**FULL_BRANCHING_DEPTH_CAP
+        assert result.max_complexity == FULL_BRANCHING_DEPTH_CAP
+
     def test_out_of_memory_is_four(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate")
@@ -136,7 +171,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.4.0"
+        assert payload["version"] == "0.5.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"
@@ -266,6 +301,61 @@ class TestSerializationRoundTrip:
         assert text.endswith("\n")
         keys = [line.split('"')[1] for line in text.splitlines() if line.startswith('  "')]
         assert keys == sorted(keys)
+
+
+# every finite double, with the edge cases named: signed zero, subnormals,
+# integer-valued floats that print without a decimal point or in e-notation
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308 / 3,
+                     1e16, 2.0**53 + 2, 12345678901234568.0, -1e22, 1.7976931348623157e308]),
+)
+
+
+def _field_strategy(annotation):
+    origin = typing.get_origin(annotation)
+    if origin is typing.Union:  # Optional[...]
+        inner = [a for a in typing.get_args(annotation) if a is not type(None)][0]
+        return st.none() | _field_strategy(inner)
+    if origin is tuple:
+        return st.lists(_field_strategy(typing.get_args(annotation)[0]), max_size=6).map(tuple)
+    if annotation is float:
+        return FINITE_FLOATS
+    if annotation is int:
+        return st.integers()
+    return st.sampled_from(["random-projection", "single-history", "full-branching"])
+
+
+def _payloads(payload_type):
+    hints = typing.get_type_hints(payload_type)
+    return st.builds(payload_type, **{name: _field_strategy(t) for name, t in hints.items()})
+
+
+class TestSerializationProperties:
+    """emit_report then parse_report returns the payload bit for bit, for any finite floats."""
+
+    @pytest.mark.parametrize("experiment", sorted(PAYLOAD_TYPES))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip(self, experiment, data):
+        payload = data.draw(_payloads(PAYLOAD_TYPES[experiment]))
+        seed = data.draw(st.integers(-(2**63), 2**64 - 1))
+        config = ExperimentConfig(experiment=experiment, parameters={"x": 1}, seed=seed)
+        parsed = parse_report(emit_report(ExperimentReport(config, "0.5.0", payload), "json"),
+                              "json")
+        assert repr(parsed.result) == repr(payload)  # also tells -0.0 from 0.0, 1 from 1.0
+        assert parsed.config.seed == seed
+
+    @pytest.mark.parametrize("experiment", sorted(PAYLOAD_TYPES))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_csv_round_trip(self, experiment, data):
+        payload_type = PAYLOAD_TYPES[experiment]
+        payload = data.draw(_payloads(payload_type))
+        config = ExperimentConfig(experiment=experiment, parameters={}, seed=0)
+        emitted = emit_report(ExperimentReport(config, "0.5.0", payload), "csv")
+        parsed = parse_report(emitted, "csv", payload_type=payload_type)
+        assert repr(parsed) == repr(payload)
 
 
 class TestFloatFormatting:

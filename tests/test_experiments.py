@@ -14,6 +14,7 @@ from manyworlds import (
     world_count,
 )
 from manyworlds import rng
+from manyworlds.experiments import _chain_transmissions
 
 
 def walk_distribution(depth):
@@ -293,19 +294,41 @@ class TestTrialStream:
     @pytest.mark.parametrize("dim,k", [(3, 0), (4, 2), (16, 1)])
     def test_projection_chain_replays_trial_by_trial(self, dim, k):
         trials, seed = 200, 5
-        n = (k + 2) * dim
-        per_trial = 4 * -(-2 * n // 4)
+        n, m = (k + 2) * dim, (k + 1) * dim
+        per_trial = 4 * -(-(n + m) // 4)
         probs = []
         for t in range(trials):
             u = rng.trial_uniforms(seed, t, 1, per_trial)[0]
-            amps = np.sqrt(-np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:2 * n])
-            states = [s / np.linalg.norm(s) for s in amps.reshape(k + 2, dim)]
+            moduli = np.sqrt(-np.log1p(-u[:n])).reshape(k + 2, dim)
+            delta = np.float32(2 * np.pi) * u[n:n + m].astype(np.float32)
+            eps = (np.cos(delta) + 1j * np.sin(delta)).astype(np.complex128)
+            eps /= np.abs(eps)
+            phases = np.vstack([np.ones(dim), np.cumprod(eps.reshape(k + 1, dim), axis=0)])
+            states = [s / np.linalg.norm(s) for s in moduli * phases]
             p = 1.0
             for a, b in zip(states, states[1:]):
                 p *= abs(np.vdot(a, b)) ** 2
             probs.append(p)
         report = random_projection_chain(dim, k, trials=trials, seed=seed)
         assert abs(report.transmission_probability - np.mean(probs)) <= 1e-14 * np.mean(probs)
+
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_pair_overlaps_follow_beta_one_n_minus_one(self, dim):
+        trials = 20_000
+        overlaps = np.sort(_chain_transmissions(dim, 0, trials, seed=dim))
+        # Dvoretzky-Kiefer-Wolfowitz: sup |F_n - F| exceeds this with probability 1e-6
+        bound = math.sqrt(math.log(2 / 1e-6) / (2 * trials))
+        for q in (0.05, 0.25, 0.5, 0.75, 0.95):
+            x = 1 - (1 - q) ** (1 / (dim - 1))  # Beta(1, dim - 1) quantile
+            assert abs(np.searchsorted(overlaps, x, side="right") / trials - q) < bound
+
+    def test_one_projector_second_moment(self):
+        # given the middle state the two overlaps are independent Beta(1, N - 1),
+        # each with second moment 2 / (N (N + 1))
+        dim, trials = 4, 50_000
+        p_sq = _chain_transmissions(dim, 1, trials, seed=12) ** 2
+        want = (2 / (dim * (dim + 1))) ** 2
+        assert abs(p_sq.mean() - want) < 5 * p_sq.std(ddof=1) / math.sqrt(trials)
 
     @pytest.mark.parametrize("depth", [0, 1, 4, 7, 10])
     def test_single_history_replays_step_by_step(self, depth):
