@@ -23,6 +23,7 @@ from .hilbert import (
     ShapeError,
     StateVector,
     UnitaryOperator,
+    _fresh_states,
     apply_unitary,
     basis_state,
     haar_random_state,
@@ -227,13 +228,14 @@ def interact_and_branch(
     node.rescaled_entropy = within_branch
     node.history.append(_BranchEvent(step, within_branch))
 
+    # Row n is left_n (x) right_n. The split factors the validated new_state
+    # and the decomposition checked both vector shapes, so only the norms
+    # are left to check; the children share this one read-only array.
+    pairs = np.multiply(dec.left_vectors.T[:, :, None], dec.right_vectors.T[:, None, :], order="C")
+    child_dims = (int(split.d_left), int(split.d_right))
+    child_states = _fresh_states(pairs.reshape(dec.rank, -1), child_dims)
     child_ids: list[int] = []
-    for n in range(dec.rank):
-        weight = float(dec.lambdas[n])
-        child_state = StateVector(
-            np.kron(dec.left_vectors[:, n], dec.right_vectors[:, n]),
-            (split.d_left, split.d_right),
-        )
+    for weight, child_state in zip(dec.lambdas.tolist(), child_states):
         child = BranchNode(
             id=tree._allocate_id(),
             parent_id=leaf_id,

@@ -96,7 +96,7 @@ def _run_schmidt(p: dict, seed: int):
         d_right=p["d_right"],
         seed=seed,
         rank=dec.rank,
-        lambdas=tuple(float(v) for v in dec.lambdas),
+        lambdas=tuple(dec.lambdas.tolist()),
         entanglement_entropy=entanglement_entropy(dec),
         spectra_gap=spectra_gap(psi, split),
         reconstruction_error=error,

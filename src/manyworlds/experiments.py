@@ -91,7 +91,12 @@ def _mean_and_std_error(samples: np.ndarray) -> tuple[float, float]:
 
 
 def _trial_blocks(seed: int, trials: int, uniforms: int):
-    """Each trial's row of uniforms, in chunks of at most rng.TRIAL_CHUNK uniforms."""
+    """Each trial's row of uniforms, in chunks of at most rng.TRIAL_CHUNK uniforms.
+
+    The chunks are drawn in sequence from one generator: a chunk spans whole
+    4-word Philox blocks, so chunk c starts exactly where
+    rng.trial_uniforms(seed, first_c, ...) would.
+    """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if uniforms > TRIAL_BLOCK_CAP:
@@ -100,7 +105,8 @@ def _trial_blocks(seed: int, trials: int, uniforms: int):
         )
     per_trial = 4 * max(1, -(-uniforms // 4))
     chunk = max(1, rng.TRIAL_CHUNK // per_trial)
-    return (rng.trial_uniforms(seed, first, min(chunk, trials - first), per_trial)
+    stream = rng.trial_rng(seed, 0, per_trial)
+    return (stream.random((min(chunk, trials - first), per_trial))
             for first in range(0, trials, chunk))
 
 

@@ -77,11 +77,7 @@ class StateVector:
             raise ShapeError(
                 f"{amps.size} amplitudes do not fill subsystems of dims {dims}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > EPS_NORM:
-            raise DegenerateStateError(
-                f"state norm {norm!r} deviates from 1 by more than {EPS_NORM}"
-            )
+        _check_unit_norm(np.linalg.norm(amps))
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -91,6 +87,46 @@ class StateVector:
     def dim(self) -> int:
         """Total Hilbert-space dimension."""
         return self.amplitudes.size
+
+
+def _check_unit_norm(norm) -> None:
+    if abs(norm - 1.0) > EPS_NORM:
+        raise DegenerateStateError(
+            f"state norm {norm!r} deviates from 1 by more than {EPS_NORM}"
+        )
+
+
+def _fresh_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
+    """StateVector around an amplitude vector this package has just computed.
+
+    The caller has already run _check_dims on `dims` and made `amps` a
+    complex vector that fills them, so only the unit norm is checked. `amps`
+    is frozen in place rather than copied.
+    """
+    _check_unit_norm(np.linalg.norm(amps))
+    amps.flags.writeable = False
+    return _wrap_state(amps, dims)
+
+
+def _fresh_states(rows: np.ndarray, dims: tuple[int, ...]) -> list[StateVector]:
+    """_fresh_state of every row of a C-contiguous (count, dim) complex array.
+
+    The norms are checked in one pass over the real view, which makes no
+    temporary the size of `rows`, and each state's amplitudes are a
+    read-only view of its row, not a copy.
+    """
+    parts = rows.view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    _check_unit_norm(norms[np.argmax(np.abs(norms - 1.0))])
+    rows.flags.writeable = False
+    return [_wrap_state(amps, dims) for amps in rows]
+
+
+def _wrap_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
+    psi = object.__new__(StateVector)
+    object.__setattr__(psi, "amplitudes", amps)
+    object.__setattr__(psi, "dims", dims)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -166,7 +202,7 @@ class UnitaryOperator:
         k = mat.shape[0]
         if k < 1 or self.dim < 1 or self.dim % k:
             raise ShapeError(f"factor size {k} does not divide declared dim {self.dim}")
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(k)))
+        dev = np.abs(mat.conj().T @ mat - np.eye(k)).max()
         if dev > EPS_EIG:
             raise ShapeError(f"operator is not unitary (max |U†U - I| = {dev:.3e})")
         mat = mat.copy()
@@ -176,9 +212,9 @@ class UnitaryOperator:
             perm = np.array(self.perm, dtype=np.intp)
             if perm.shape != (self.dim,):
                 raise ShapeError(f"gather of shape {perm.shape} does not fit dim {self.dim}")
-            if perm.min() < 0 or perm.max() >= self.dim or not np.all(
+            if perm.min() < 0 or perm.max() >= self.dim or not (
                 np.bincount(perm, minlength=self.dim) == 1
-            ):
+            ).all():
                 raise ShapeError("gather must hold every basis index exactly once")
             perm.flags.writeable = False
             object.__setattr__(self, "perm", perm)
@@ -199,7 +235,7 @@ def make_state(amplitudes, dims) -> StateVector:
     norm = np.linalg.norm(amps)
     if norm <= 0.0:
         raise DegenerateStateError("degenerate state: zero amplitude vector")
-    return StateVector(amps / norm, dims)
+    return _fresh_state(amps / norm, dims)
 
 
 def basis_state(index: int, dim: int) -> StateVector:
@@ -213,8 +249,8 @@ def basis_state(index: int, dim: int) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; dims are concatenated, norm is preserved."""
-    _check_dims(a.dims + b.dims)  # enforces the dimension cap early
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims)
+    dims = _check_dims(a.dims + b.dims)  # enforces the dimension cap early
+    return _fresh_state(np.outer(a.amplitudes, b.amplitudes).reshape(-1), dims)
 
 
 def apply_unitary(u: UnitaryOperator, psi: StateVector) -> StateVector:
@@ -223,7 +259,7 @@ def apply_unitary(u: UnitaryOperator, psi: StateVector) -> StateVector:
         raise ShapeError(f"operator dim {u.dim} != state dim {psi.dim}")
     amps = psi.amplitudes if u.perm is None else psi.amplitudes[u.perm]
     k = u.entries.shape[0]
-    return StateVector((u.entries @ amps.reshape(k, -1)).reshape(-1), psi.dims)
+    return _fresh_state((u.entries @ amps.reshape(k, -1)).reshape(-1), psi.dims)
 
 
 def density_of(psi: StateVector) -> DensityMatrix:
@@ -268,27 +304,37 @@ def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray
     `vectors` holds one column per entry of the descending `values`.
     Within a degenerate cluster of those values (gap below DEGENERACY_GAP)
     the basis is rebuilt by Gram-Schmidt over the cluster projector's
-    columns in standard basis order, and every column's global phase is
-    fixed so its first component of modulus above 1e-9 is real positive.
+    columns in standard basis order. Then every column's global phase is
+    fixed, all columns in one pass, so its first component of modulus above
+    1e-9 is real positive: the column is multiplied by conj(p) / |p| for
+    that pivot p, with |p| taken as hypot(Re p, Im p), which is how Python's
+    abs of a complex scalar rounds (numpy's array abs rounds differently in
+    the last bit). A column with no such component is left as it is.
     Clusters are formed only from the values given.
     """
     vectors = vectors.copy()
     for lo, hi in _degenerate_clusters(values):
-        if hi - lo > 1:
-            vectors[:, lo:hi] = _canonical_cluster_basis(vectors[:, lo:hi])
-    for col in range(vectors.shape[1]):
-        vectors[:, col] = _fix_global_phase(vectors[:, col])
+        vectors[:, lo:hi] = _canonical_cluster_basis(vectors[:, lo:hi])
+    significant = np.abs(vectors) > 1e-9
+    rows = significant.argmax(axis=0)  # first significant row, or 0 if there is none
+    cols = np.arange(vectors.shape[1])
+    cols = cols[significant[rows, cols]]
+    pivots = vectors[rows[cols], cols]
+    factors = pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    # each factor broadcast down its column, as in `column * factor`: a
+    # (1, 1) product with the factors along the last axis rounds differently
+    vectors[:, cols] = (vectors[:, cols].T * factors[:, None]).T
     return vectors
 
 
-def _degenerate_clusters(descending: np.ndarray):
-    """Index ranges [lo, hi) of eigenvalues linked by gaps < DEGENERACY_GAP."""
-    n = descending.size
-    lo = 0
-    for i in range(1, n + 1):
-        if i == n or descending[i - 1] - descending[i] >= DEGENERACY_GAP:
-            yield lo, i
-            lo = i
+def _degenerate_clusters(descending: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) of two or more eigenvalues linked by gaps < DEGENERACY_GAP."""
+    # the gap descending[i] - descending[i + 1] is exactly -diff[i]
+    linked = np.diff(descending) > -DEGENERACY_GAP
+    if not linked.any():
+        return []
+    edges = [0, *(np.flatnonzero(~linked) + 1).tolist(), descending.size]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi - lo > 1]
 
 
 def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
@@ -319,14 +365,6 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
         if len(chosen) == k:
             return vectors @ np.column_stack(chosen)
     raise ShapeError("degenerate cluster basis could not be completed")
-
-
-def _fix_global_phase(vec: np.ndarray) -> np.ndarray:
-    significant = np.flatnonzero(np.abs(vec) > 1e-9)
-    if significant.size == 0:
-        return vec
-    pivot = vec[significant[0]]
-    return vec * (pivot.conjugate() / abs(pivot))
 
 
 def haar_random_state(dim: int, seed: int) -> StateVector:

@@ -5,6 +5,10 @@ version: JSON output is a single object with sorted keys, CSV output is a
 header row plus one data row, and all floating-point values are printed
 with 17 significant digits so doubles round-trip exactly. Volatile data
 (wall time, output destination) never reaches the serialized form.
+
+Reports are flat: every payload field and config parameter is a scalar
+(None, bool, int, float or str) or a list or tuple of floats, so a report
+is written field by field with all of its floats formatted in one pass.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import json
 import math
 import typing
 from dataclasses import dataclass
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Optional
 
 from .experiments import ComplexityReport, OverlapReport, WorldCountReport, ZenoReport
@@ -106,40 +112,70 @@ class ExperimentReport:
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form that always reads back as a float."""
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    s = f"{x:.17g}"
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    return _format_floats((x,))[0]
 
 
-def _json_fragment(value, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(key))}: {_json_fragment(value[key], indent + 1)}'
-            for key in sorted(value)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}  {_json_fragment(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+def _format_floats(values) -> list[str]:
+    """format_float of each value, all formatted by one %-format call."""
+    texts = (("%.17g\n" * len(values)) % tuple(values)).split("\n")
+    texts.pop()
+    return [t if "." in t or "e" in t else _integral_float(t) for t in texts]
+
+
+def _integral_float(text: str) -> str:
+    if "n" in text:  # "inf", "-inf" or "nan"
+        raise ValueError(f"non-finite value {float(text)!r} cannot be serialized")
+    return text + ".0"
+
+
+def _texts(values: list, scalar) -> list:
+    """Per flat value, its text, or for a sequence the list of its elements' texts.
+
+    Every float, scalar or in a sequence, is formatted by one _format_floats
+    call; any other scalar by `scalar`.
+    """
+    floats = []
+    for value in values:
+        if isinstance(value, float):
+            floats.append(value)
+        elif isinstance(value, (list, tuple)):
+            if not all(isinstance(v, float) for v in value):
+                raise TypeError("a report sequence must hold floats only")
+            floats += value
+    formatted = iter(_format_floats(floats))
+    return [
+        next(formatted) if isinstance(value, float)
+        else list(islice(formatted, len(value))) if isinstance(value, (list, tuple))
+        else scalar(value)
+        for value in values
+    ]
+
+
+def _json_scalar(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _json_string(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _json_object(mapping: dict, pad: str) -> str:
+    """A flat mapping as a JSON object with sorted keys, closed at indent `pad`."""
+    if not mapping:
+        return "{}"
+    keys = sorted(mapping)
+    inner = pad + "  "
+    items = []
+    for key, text in zip(keys, _texts([mapping[k] for k in keys], _json_scalar)):
+        if isinstance(text, list):
+            text = ("[\n" + inner + "  " + (",\n" + inner + "  ").join(text)
+                    + "\n" + inner + "]") if text else "[]"
+        items.append(f"{inner}{_json_string(str(key))}: {text}")
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
 
 
 def _payload_dict(payload) -> dict:
@@ -149,16 +185,18 @@ def _payload_dict(payload) -> dict:
 def emit_report(report: ExperimentReport, output_format: str) -> bytes:
     """Serialize a report. JSON carries the config echo, CSV the payload row."""
     if output_format == "json":
-        envelope = {
-            "config": {
-                "experiment": report.config.experiment,
-                "parameters": dict(report.config.parameters),
-                "seed": report.config.seed,
-            },
-            "result": _payload_dict(report.result),
-            "version": report.version,
-        }
-        return (_json_fragment(envelope, 0) + "\n").encode("utf-8")
+        config = report.config
+        return (
+            "{\n"
+            '  "config": {\n'
+            f'    "experiment": {_json_scalar(config.experiment)},\n'
+            f'    "parameters": {_json_object(config.parameters, "    ")},\n'
+            f'    "seed": {_json_scalar(config.seed)}\n'
+            "  },\n"
+            f'  "result": {_json_object(_payload_dict(report.result), "  ")},\n'
+            f'  "version": {_json_scalar(report.version)}\n'
+            "}\n"
+        ).encode("utf-8")
     if output_format == "csv":
         return _csv_bytes(report.result)
     raise ConfigError(f"unknown output format {output_format!r}")
@@ -167,13 +205,9 @@ def emit_report(report: ExperimentReport, output_format: str) -> bytes:
 _CSV_FORBIDDEN = set(',"\n\r')
 
 
-def _csv_cell(value) -> str:
+def _csv_scalar(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, (list, tuple)):
-        return ";".join(_csv_cell(v) for v in value)
     text = str(value)
     if _CSV_FORBIDDEN & set(text):
         raise ValueError(f"value {text!r} is not representable in a CSV cell")
@@ -181,9 +215,10 @@ def _csv_cell(value) -> str:
 
 
 def _csv_bytes(payload) -> bytes:
-    names = [f.name for f in dataclasses.fields(payload)]
-    cells = [_csv_cell(getattr(payload, name)) for name in names]
-    return (",".join(names) + "\n" + ",".join(cells) + "\n").encode("utf-8")
+    fields = _payload_dict(payload)
+    cells = [";".join(t) if isinstance(t, list) else t
+             for t in _texts(list(fields.values()), _csv_scalar)]
+    return (",".join(fields) + "\n" + ",".join(cells) + "\n").encode("utf-8")
 
 
 def _coerce(value, annotation):

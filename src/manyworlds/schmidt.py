@@ -19,7 +19,6 @@ from .hilbert import (
     BipartiteSplit,
     StateVector,
     _canonical_eigenbasis,
-    partial_trace,
 )
 
 
@@ -52,17 +51,18 @@ class SchmidtDecomposition:
             raise DecompositionError(
                 f"rank {self.rank} outside [1, min{self.split.d_left, self.split.d_right}]"
             )
-        if np.any(np.diff(lam) > 0):
+        if (lam[1:] > lam[:-1]).any():
             raise DecompositionError("coefficients must be sorted descending")
-        if np.any(lam <= EPS_RANK):
+        if (lam <= EPS_RANK).any():
             raise DecompositionError("retained coefficient at or below the zero threshold")
         if abs(lam.sum() - 1.0) > EPS_EIG:
             raise DecompositionError(f"coefficients sum to {lam.sum()!r}, not 1")
+        identity = np.eye(self.rank)
         for name, mat, d in (("left", left, self.split.d_left),
                              ("right", right, self.split.d_right)):
             if mat.shape != (d, self.rank):
                 raise DecompositionError(f"{name} vectors have shape {mat.shape}")
-            gram_dev = np.max(np.abs(mat.conj().T @ mat - np.eye(self.rank)))
+            gram_dev = np.abs(mat.conj().T @ mat - identity).max()
             if gram_dev > EPS_EIG:
                 raise DecompositionError(
                     f"{name} vectors not orthonormal (deviation {gram_dev:.3e})"
@@ -91,19 +91,19 @@ def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecompo
     m = psi.amplitudes.reshape(split.d_left, split.d_right)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     values = s**2
-    retained = values > EPS_RANK
-    lambdas = values[retained]
-    left = _canonical_eigenbasis(lambdas, u[:, retained])
+    rank = int(np.count_nonzero(values > EPS_RANK))  # a prefix: s is descending
+    lambdas = values[:rank]
+    left = _canonical_eigenbasis(lambdas, u[:, :rank])
 
     raw_right = m.T @ left.conj()            # column n: <left_n| psi, a right-side vector
     norms = np.linalg.norm(raw_right, axis=0)
-    if np.any(norms**2 <= EPS_RANK):
+    if (norms**2 <= EPS_RANK).any():
         raise DecompositionError(
             "retained coefficient vanished during pairing; state is numerically pathological"
         )
     right = raw_right / norms
 
-    dec = SchmidtDecomposition(lambdas, left, right, int(lambdas.size), split)
+    dec = SchmidtDecomposition(lambdas, left, right, rank, split)
     residual = np.linalg.norm(_reconstruction_amplitudes(dec) - psi.amplitudes)
     if residual > EPS_EIG:
         raise DecompositionError(
@@ -118,16 +118,22 @@ def spectra_gap(psi: StateVector, split: BipartiteSplit) -> float:
     Both reduced matrices of a pure state must share their nonzero spectrum.
     Independently of schmidt_decompose, it eigensolves the smaller one, takes
     the other from the singular values of the amplitude matrix, and returns
-    the max elementwise gap between the descending nonzero spectra, zero-padded.
+    the max elementwise gap between the descending spectra entries above
+    EPS_RANK, an entry missing from the shorter one counting as zero.
+    The smaller reduced matrix is formed straight from the amplitudes that
+    StateVector has already checked, so it is Hermitian with unit trace by
+    construction. It is not wrapped in a DensityMatrix, whose positivity
+    check would run a second eigensolve on the spectrum compared here.
     """
     split.require_match(psi)
-    side = "left" if split.d_left <= split.d_right else "right"
-    eigen = np.linalg.eigvalsh(partial_trace(psi, split, side).entries)[::-1]
     m = psi.amplitudes.reshape(split.d_left, split.d_right)
-    spectra = [w[w > EPS_RANK] for w in (eigen, np.linalg.svd(m, compute_uv=False) ** 2)]
-    n = max(s.size for s in spectra)
-    padded = [np.pad(s, (0, n - s.size)) for s in spectra]
-    return float(np.max(np.abs(padded[0] - padded[1]))) if n else 0.0
+    reduced = m @ m.conj().T if split.d_left <= split.d_right else m.T @ m.conj()
+    eigen = np.linalg.eigvalsh(reduced)[::-1]
+    singular = np.linalg.svd(m, compute_uv=False) ** 2
+    a, b = eigen[eigen > EPS_RANK], singular[singular > EPS_RANK]
+    k = min(a.size, b.size)
+    tail = a[k:] if a.size > k else b[k:]  # entries above EPS_RANK are positive
+    return float(max(np.abs(a[:k] - b[:k]).max(initial=0.0), tail.max(initial=0.0)))
 
 
 def _reconstruction_amplitudes(dec: SchmidtDecomposition) -> np.ndarray:

@@ -8,7 +8,10 @@ from manyworlds import (
     BipartiteSplit,
     BranchTree,
     CapacityError,
+    DecompositionError,
+    DegenerateStateError,
     PointerOverflowError,
+    SchmidtDecomposition,
     ShapeError,
     UnitaryOperator,
     apply_unitary,
@@ -22,9 +25,11 @@ from manyworlds import (
     premeasurement_unitary,
     rescaled_entropy_trace,
     run_chain_protocol,
+    schmidt_decompose,
     tensor,
     total_entropy,
 )
+from manyworlds import branching
 from manyworlds.branching import _conditional_shift, _preparation_unitary
 
 LN2 = 0.6931471805599453
@@ -381,3 +386,57 @@ class TestOperatorMemory:
 
     def test_premeasurement_peak(self):
         assert _peak_bytes(premeasurement_unitary, 32, 32) < 2**20
+
+
+class TestChildStates:
+    """Children are rows of one read-only array; each invariant keeps a failing test."""
+
+    def test_children_equal_kron_of_their_pair_bit_for_bit(self):
+        dim = 9
+        tree = BranchTree(tensor(haar_random_state(dim, 4), basis_state(0, dim)))
+        dec = schmidt_decompose(
+            apply_unitary(premeasurement_unitary(dim, dim), tree.node(0).state),
+            BipartiteSplit(dim, dim),
+        )
+        kids = interact_and_branch(tree, 0, premeasurement_unitary(dim, dim),
+                                   BipartiteSplit(dim, dim))
+        for n, kid in enumerate(kids):
+            amps = tree.node(kid).state.amplitudes
+            want = np.kron(dec.left_vectors[:, n], dec.right_vectors[:, n])
+            assert amps.tobytes() == want.tobytes()
+            assert not amps.flags.writeable
+            assert tree.node(kid).state.dims == (dim, dim)
+
+    def test_peak_memory_is_the_children_themselves(self):
+        dim = 64
+        tree = BranchTree(tensor(haar_random_state(dim, 1), basis_state(0, dim)))
+        u, split = premeasurement_unitary(dim, dim), BipartiteSplit(dim, dim)
+        peak = _peak_bytes(interact_and_branch, tree, tree.root_id, u, split)
+        own = sum(tree.node(c).state.amplitudes.nbytes for c in tree.node(0).children)
+        assert own == dim * dim * dim * 16  # 4 MiB
+        assert peak < own + 2**20  # a copy of every row would add another 4 MiB
+
+    def test_non_orthonormal_vectors_rejected(self):
+        dec = schmidt_decompose(make_state([1, 0, 0, 1], (2, 2)), BipartiteSplit(2, 2))
+        skewed = dec.right_vectors.copy()
+        skewed[:, 1] = (skewed[:, 0] + skewed[:, 1]) / math.sqrt(2)
+        with pytest.raises(DecompositionError, match="right vectors not orthonormal"):
+            SchmidtDecomposition(dec.lambdas, dec.left_vectors, skewed, 2, dec.split)
+
+    def test_vector_shape_must_fill_the_split(self):
+        dec = schmidt_decompose(make_state([1, 0, 0, 1], (2, 2)), BipartiteSplit(2, 2))
+        with pytest.raises(DecompositionError, match="vectors have shape"):
+            SchmidtDecomposition(dec.lambdas, dec.left_vectors, dec.right_vectors[:1], 2,
+                                 dec.split)
+
+    def test_child_norm_still_checked(self, monkeypatch):
+        # right vectors 2e-11 too long pass the 1e-10 Gram check, not the 1e-12 norm check
+        def stretched(psi, split):
+            dec = schmidt_decompose(psi, split)
+            return SchmidtDecomposition(dec.lambdas, dec.left_vectors,
+                                        dec.right_vectors * (1 + 2e-11), dec.rank, split)
+
+        monkeypatch.setattr(branching, "schmidt_decompose", stretched)
+        tree = BranchTree(plus_device())
+        with pytest.raises(DegenerateStateError):
+            interact_and_branch(tree, 0, premeasurement_unitary(2, 2), BipartiteSplit(2, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import typing
@@ -356,6 +357,100 @@ class TestSerializationProperties:
         emitted = emit_report(ExperimentReport(config, "0.5.0", payload), "csv")
         parsed = parse_report(emitted, "csv", payload_type=payload_type)
         assert repr(parsed) == repr(payload)
+
+
+# Oracles: the recursive serializer that emit_report replaced. The flat
+# emitter must write the same bytes for every flat report.
+
+def json_fragment_oracle(value, indent: int) -> str:
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(key))}: {json_fragment_oracle(value[key], indent + 1)}'
+            for key in sorted(value)
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [f"{pad}  {json_fragment_oracle(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError(f"non-finite value {value!r} cannot be serialized")
+        text = f"{value:.17g}"
+        return text if any(c in text for c in ".eE") else text + ".0"
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def csv_cell_oracle(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return json_fragment_oracle(value, 0)
+    if isinstance(value, (list, tuple)):
+        return ";".join(csv_cell_oracle(v) for v in value)
+    text = str(value)
+    if set(',"\n\r') & set(text):
+        raise ValueError(f"value {text!r} is not representable in a CSV cell")
+    return text
+
+
+def emit_report_oracle(report, output_format: str) -> bytes:
+    fields = {f.name: getattr(report.result, f.name) for f in dataclasses.fields(report.result)}
+    if output_format == "json":
+        envelope = {
+            "config": {
+                "experiment": report.config.experiment,
+                "parameters": dict(report.config.parameters),
+                "seed": report.config.seed,
+            },
+            "result": fields,
+            "version": report.version,
+        }
+        return (json_fragment_oracle(envelope, 0) + "\n").encode("utf-8")
+    cells = [csv_cell_oracle(v) for v in fields.values()]
+    return (",".join(fields) + "\n" + ",".join(cells) + "\n").encode("utf-8")
+
+
+PARAMETERS = st.dictionaries(
+    st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
+    st.one_of(st.none(), st.booleans(), st.integers(), FINITE_FLOATS, st.text(max_size=8),
+              st.lists(FINITE_FLOATS, max_size=4).map(tuple)),
+    max_size=4,
+)
+
+
+class TestFlatEmitterMatchesRecursiveOracle:
+    @pytest.mark.parametrize("experiment", sorted(PAYLOAD_TYPES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_same_bytes(self, experiment, data):
+        payload = data.draw(_payloads(PAYLOAD_TYPES[experiment]))
+        config = ExperimentConfig(experiment=experiment, parameters=data.draw(PARAMETERS),
+                                  seed=data.draw(st.integers(-(2**63), 2**64 - 1)))
+        report = ExperimentReport(config, data.draw(st.sampled_from(["0.5.0", "x\u00e9"])),
+                                  payload)
+        for output_format in ("json", "csv"):
+            assert emit_report(report, output_format) == emit_report_oracle(report, output_format)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_non_finite_rejected(self, bad, output_format):
+        payload = BranchReport(3, 5, 3, (0.5, bad, 0.2), (), 1.0)
+        report = ExperimentReport(ExperimentConfig("branch", {}, 0), "0.5.0", payload)
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_report(report, output_format)
 
 
 class TestFloatFormatting:

@@ -14,7 +14,7 @@ from manyworlds import (
     world_count,
 )
 from manyworlds import rng
-from manyworlds.experiments import _chain_transmissions
+from manyworlds.experiments import _chain_transmissions, _trial_blocks
 
 
 def walk_distribution(depth):
@@ -278,6 +278,17 @@ class TestTrialStream:
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError):
             rng.trial_uniforms(0, -1, 1, 4)
+
+    @pytest.mark.parametrize("uniforms", [3, 48, 100])
+    def test_sequential_chunks_equal_positioned_draws(self, monkeypatch, uniforms):
+        # one generator drawn chunk after chunk lands where a fresh generator
+        # advanced to each chunk's first trial does, here over 300 chunks
+        seed, per_trial = 2**63 - 1, 4 * -(-uniforms // 4)
+        monkeypatch.setattr(rng, "TRIAL_CHUNK", 3 * per_trial)
+        chunks = list(_trial_blocks(seed, 900, uniforms))
+        assert len(chunks) == 300
+        for c, block in enumerate(chunks):
+            assert np.array_equal(block, rng.trial_uniforms(seed, 3 * c, 3, per_trial))
 
     def test_reports_do_not_depend_on_chunk_size(self, monkeypatch):
         runs = [

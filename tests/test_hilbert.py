@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manyworlds import (
     BipartiteSplit,
@@ -20,7 +22,15 @@ from manyworlds import (
     partial_trace,
     tensor,
 )
-from manyworlds.hilbert import EPS_EIG, EPS_NORM, EPS_RANK
+from manyworlds.hilbert import (
+    DEGENERACY_GAP,
+    EPS_EIG,
+    EPS_NORM,
+    EPS_RANK,
+    _canonical_cluster_basis,
+    _canonical_eigenbasis,
+    _degenerate_clusters,
+)
 
 
 def reduced_by_outer_product(psi, d_left, d_right, keep):
@@ -61,6 +71,18 @@ class TestMakeState:
 
 
 class TestTensor:
+    @pytest.mark.parametrize("d_a,d_b", [(1, 1), (1, 3), (2, 5), (7, 4), (64, 64)])
+    def test_equals_kron_bit_for_bit(self, d_a, d_b):
+        a, b = haar_random_state(d_a, d_a), haar_random_state(d_b, 7 + d_b)
+        prod = tensor(a, b)
+        assert prod.amplitudes.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
+        assert not prod.amplitudes.flags.writeable
+
+    def test_cap_checked_before_the_product(self):
+        big = haar_random_state(2**7, 0)
+        with pytest.raises(CapacityError):
+            tensor(big, tensor(big, basis_state(0, 2)))
+
     def test_basis_product(self):
         prod = tensor(basis_state(0, 2), basis_state(1, 2))
         assert np.allclose(prod.amplitudes, [0, 1, 0, 0])
@@ -272,3 +294,106 @@ class TestInvariantSweep:
             n = min(left.size, right.size)
             assert np.max(np.abs(left[:n] - right[:n])) < 1e-10
             assert int(np.sum(left > EPS_RANK)) == int(np.sum(right > EPS_RANK))
+
+
+# Oracles: the per-column forms that _canonical_eigenbasis replaced. The
+# bulk rewrite must match them bit for bit, signed zeros included.
+
+def degenerate_clusters_oracle(descending):
+    """Every cluster [lo, hi), singletons included, by a walk over the gaps."""
+    n = descending.size
+    lo = 0
+    for i in range(1, n + 1):
+        if i == n or descending[i - 1] - descending[i] >= DEGENERACY_GAP:
+            yield lo, i
+            lo = i
+
+
+def fix_global_phase_oracle(vec):
+    significant = np.flatnonzero(np.abs(vec) > 1e-9)
+    if significant.size == 0:
+        return vec
+    pivot = vec[significant[0]]
+    return vec * (pivot.conjugate() / abs(pivot))
+
+
+def canonical_eigenbasis_oracle(values, vectors):
+    vectors = vectors.copy()
+    for lo, hi in degenerate_clusters_oracle(values):
+        if hi - lo > 1:
+            vectors[:, lo:hi] = _canonical_cluster_basis(vectors[:, lo:hi])
+    for col in range(vectors.shape[1]):
+        vectors[:, col] = fix_global_phase_oracle(vectors[:, col])
+    return vectors
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+PARTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9, 1.0000000000000002e-9]),
+    st.floats(-7e-10, 7e-10),  # below the 1e-9 pivot threshold, subnormals included
+)
+TINY = st.floats(-7e-10, 7e-10)  # |re + i im| < 1e-9
+
+
+@st.composite
+def phase_columns(draw):
+    """Columns of every kind: generic, with exact zeros, and entirely below 1e-9."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    cols = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["generic", "zeros-first", "tiny"]))
+        parts = TINY if kind == "tiny" else PARTS
+        col = np.array([complex(draw(parts), draw(parts)) for _ in range(n)])
+        if kind == "zeros-first":
+            col[:draw(st.integers(0, n))] = 0.0
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+GAPS = st.sampled_from([0.0, 1e-12, 5e-10, 0.999e-9, DEGENERACY_GAP, 1.001e-9, 1e-3, 0.25])
+
+
+@st.composite
+def clustered_bases(draw):
+    """Orthonormal columns with descending values whose gaps straddle DEGENERACY_GAP."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(z)
+    values = 1.0 - np.cumsum([0.0] + [draw(GAPS) for _ in range(k - 1)])
+    return values, q[:, :k]
+
+
+class TestBulkCanonicalization:
+    @settings(max_examples=300, deadline=None)
+    @given(vectors=phase_columns())
+    def test_phase_pass_matches_per_column_oracle(self, vectors):
+        values = np.arange(vectors.shape[1], 0, -1, dtype=float)  # no clusters
+        expected = canonical_eigenbasis_oracle(values, vectors)
+        assert same_bits(_canonical_eigenbasis(values, vectors), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=clustered_bases())
+    def test_clusters_match_per_column_oracle(self, case):
+        values, vectors = case
+        expected = canonical_eigenbasis_oracle(values, vectors)
+        assert same_bits(_canonical_eigenbasis(values, vectors), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(GAPS, max_size=12))
+    def test_cluster_ranges_match_gap_walk(self, gaps):
+        values = 1.0 - np.cumsum([0.0, *gaps])[: len(gaps) + (1 if gaps else 0)]
+        values = values if gaps else np.array([])
+        expected = [(lo, hi) for lo, hi in degenerate_clusters_oracle(values) if hi - lo > 1]
+        assert _degenerate_clusters(values) == expected
+
+    def test_input_is_not_modified(self):
+        vectors = np.array([[1j, 0.0], [0.0, -1.0]])
+        before = vectors.copy()
+        _canonical_eigenbasis(np.array([0.6, 0.4]), vectors)
+        assert same_bits(vectors, before)
