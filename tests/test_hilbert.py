@@ -30,6 +30,7 @@ from manyworlds.hilbert import (
     _canonical_cluster_basis,
     _canonical_eigenbasis,
     _degenerate_clusters,
+    _fresh_states,
 )
 
 
@@ -68,6 +69,23 @@ class TestMakeState:
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
             make_state(np.ones(2**15), [2**15])
+
+
+class TestFreshStates:
+    @pytest.mark.parametrize("bad_row", [0, 3, 6])
+    @pytest.mark.parametrize("factor", [1 + 2e-12, 1 - 2e-12])
+    def test_any_row_off_unit_norm_rejected(self, bad_row, factor):
+        rows = np.eye(7, 14, dtype=np.complex128)
+        rows[bad_row] *= factor
+        with pytest.raises(DegenerateStateError):
+            _fresh_states(rows, (7, 2))
+
+    def test_rows_become_read_only_views(self):
+        rows = np.eye(3, 6, dtype=np.complex128)
+        states = _fresh_states(rows, (3, 2))
+        assert [s.dims for s in states] == [(3, 2)] * 3
+        assert all(np.shares_memory(s.amplitudes, rows) for s in states)
+        assert not any(s.amplitudes.flags.writeable for s in states)
 
 
 class TestTensor:
