@@ -6,12 +6,12 @@ complexity random walks with a reflecting barrier at zero. Trial t reads its
 own block of the seed's trial stream (see `rng`), so chunks of trials are
 drawn and evaluated at once and reports do not depend on the chunking.
 
-The random-state drivers never build a state: a chain of k + 2 uniformly
-random states is sampled from the squared moduli of their amplitudes and
-the relative phases of neighbouring states, which is all its overlaps
-depend on. One trial's block is capped at TRIAL_BLOCK_CAP uniforms and the
-exact full-branching walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs
-raise CapacityError before anything is drawn or summed.
+The random-state drivers never build a state: each overlap along a chain
+of uniformly random states is drawn from its exact law, Beta(1, N - 1)
+independent of the states before it, one uniform per overlap. One trial's
+block is capped at TRIAL_BLOCK_CAP uniforms and the exact full-branching
+walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs raise CapacityError
+before anything is drawn or summed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .hilbert import CapacityError, _check_dims
 DEFAULT_UNIVERSE_AGE_S = 4.35e17
 DEFAULT_PLANCK_TIME_S = 5.39e-44
 
-TRIAL_BLOCK_CAP = 2**24           # most uniforms one trial may need (~0.6 GiB of working arrays)
+TRIAL_BLOCK_CAP = 2**24           # most uniforms one trial may read (128 MiB of float64)
 # The reported branch count 2**depth must print within Python's default limit
 # of 4300 decimal digits; at this depth the O(depth^2) big-int sums take ~0.04 s.
 FULL_BRANCHING_DEPTH_CAP = 14_284
@@ -113,32 +113,19 @@ def _trial_blocks(seed: int, trials: int, uniforms: int):
 def _chain_transmissions(dim: int, k: int, trials: int, seed: int) -> np.ndarray:
     """Per trial, the product of |<s_i|s_i+1>|^2 along k + 2 uniformly random states.
 
-    A uniformly random state has amplitudes sqrt(E_j) exp(i theta_j) up to
-    normalization, with E_j iid Exp(1) and theta_j iid uniform. The overlaps
-    see the phases only through the differences delta_ij = theta_i+1,j -
-    theta_ij (mod 2 pi), which are again iid uniform: the change of variables
-    to (theta_0, delta_0, ..., delta_k) preserves Haar measure on the torus. So
-        |<s_i|s_i+1>|^2 = |sum_j sqrt(E_ij E_i+1,j) e^(i delta_ij)|^2
-                          / (sum_j E_ij * sum_j E_i+1,j).
-    A trial's block holds E_ij = -ln(1 - u) for the (k + 2) dim moduli, then
-    delta_ij = 2 pi u for the (k + 1) dim relative phases. The phase factors
-    come from float32 sin and cos (within 1e-6 rad of 2 pi u) and are scaled
-    back to unit modulus in float64, so each overlap remains one of unit
-    vectors.
+    Given s_0 ... s_i, the squared overlap of a fresh uniformly random state
+    with s_i is Beta(1, N - 1) and independent of the past, by unitary
+    invariance (Wootters, Found. Phys. 20, 1990). So overlap i is the
+    inverse CDF 1 - (1 - u_i)^(1 / (N - 1)) of the i-th uniform of the
+    trial's block, and at N = 1 it is exactly 1.
     """
     _check_dims((dim,))
-    n, m = (k + 2) * dim, (k + 1) * dim
     probs = []
-    for u in _trial_blocks(seed, trials, n + m):
-        moduli_sq = -np.log1p(-u[:, :n]).reshape(-1, k + 2, dim)
-        delta = np.float32(2 * np.pi) * u[:, n:n + m].astype(np.float32)
-        cos = np.cos(delta).astype(np.float64).reshape(-1, k + 1, dim)
-        sin = np.sin(delta).astype(np.float64).reshape(-1, k + 1, dim)
-        weights = np.sqrt(moduli_sq[:, :-1] * moduli_sq[:, 1:] / (cos * cos + sin * sin))
-        re = (weights * cos).sum(axis=2)
-        im = (weights * sin).sum(axis=2)
-        norms = moduli_sq.sum(axis=2)
-        probs.append(np.prod((re * re + im * im) / (norms[:, :-1] * norms[:, 1:]), axis=1))
+    for u in _trial_blocks(seed, trials, k + 1):
+        if dim == 1:
+            probs.append(np.ones(len(u)))
+        else:
+            probs.append(np.prod(-np.expm1(np.log1p(-u[:, :k + 1]) / (dim - 1)), axis=1))
     return np.concatenate(probs)
 
 

@@ -166,6 +166,8 @@ class BipartiteSplit:
     def __post_init__(self):
         if self.d_left < 1 or self.d_right < 1:
             raise ShapeError(f"split factors must be >= 1, got {self}")
+        if self.total > DIM_CAP:
+            raise CapacityError(f"total dimension {self.total} exceeds the cap {DIM_CAP}")
 
     @property
     def total(self) -> int:
@@ -372,8 +374,6 @@ def haar_random_state(dim: int, seed: int) -> StateVector:
 
     The same seed always reproduces the same state bit for bit.
     """
-    if dim < 1:
-        raise ShapeError(f"dimension must be >= 1, got {dim}")
     _check_dims((dim,))
     return make_state(gaussian_amplitudes(rng_from_seed(seed), dim), (dim,))
 

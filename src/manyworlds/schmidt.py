@@ -19,6 +19,7 @@ from .hilbert import (
     BipartiteSplit,
     StateVector,
     _canonical_eigenbasis,
+    _fresh_state,
 )
 
 
@@ -145,11 +146,14 @@ def reconstruct(dec: SchmidtDecomposition) -> StateVector:
     """Rebuild the state as sum_n sqrt(lambda_n) left_n (x) right_n.
 
     Renormalized, which restores the weight lost when near-zero
-    coefficients were truncated.
+    coefficients were truncated. The amplitudes are fresh and fill the split
+    (capped when it was made) that SchmidtDecomposition checked the vector
+    shapes against, so only the unit norm is checked and the array is frozen
+    in place.
     """
     amps = _reconstruction_amplitudes(dec)
     amps /= np.linalg.norm(amps)
-    return StateVector(amps, (dec.split.d_left, dec.split.d_right))
+    return _fresh_state(amps, (dec.split.d_left, dec.split.d_right))
 
 
 def entanglement_entropy(dec: SchmidtDecomposition) -> float:

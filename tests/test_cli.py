@@ -113,7 +113,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
-        ["zeno-random", "--dim", "97", "--k", "86479"],  # (2k + 3) dim = cap + 1
+        ["zeno-random", "--dim", "2", "--k", str(TRIAL_BLOCK_CAP)],  # k + 1 = cap + 1
         ["evolve", "--mode", "single-history", "--depth", str(TRIAL_BLOCK_CAP + 1)],
     ])
     def test_trial_block_cap_is_four(self, tmp_path, capsys, args):
@@ -172,7 +172,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.5.0"
+        assert payload["version"] == "0.6.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"

@@ -39,6 +39,30 @@ def full_branching_counts(depth):
     return counts
 
 
+def state_chain_transmissions(dim, k, trials, seed):
+    """Physics oracle: per trial, build k + 2 uniformly random states
+    (normalised complex Gaussian vectors) and multiply the squared overlaps
+    of neighbouring states."""
+    gen = np.random.default_rng(seed)
+    chunk = 1000  # trials built at once, to bound memory
+    probs = []
+    for first in range(0, trials, chunk):
+        z = gen.standard_normal((min(chunk, trials - first), k + 2, dim, 2))
+        states = z[..., 0] + 1j * z[..., 1]
+        states /= np.linalg.norm(states, axis=2, keepdims=True)
+        overlaps = np.einsum("tij,tij->ti", states[:, :-1].conj(), states[:, 1:])
+        probs.append(np.prod(np.abs(overlaps) ** 2, axis=1))
+    return np.concatenate(probs)
+
+
+def ks_distance(a, b):
+    """sup_x |F_a(x) - F_b(x)| of two samples' empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate([a, b])
+    return np.abs(np.searchsorted(a, points, side="right") / a.size
+                  - np.searchsorted(b, points, side="right") / b.size).max()
+
+
 def walk_mean_var(depth):
     probs = walk_distribution(depth)
     mean = sum(c * p for c, p in sorted(probs.items()))
@@ -82,6 +106,28 @@ class TestOverlapStatistics:
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
             overlap_statistics(DIM_CAP + 1, 1, seed=0)
+
+
+class TestChainLawMatchesStates:
+    """The Beta-law chain sampler against chains of states built in full."""
+
+    LAW_TRIALS, STATE_TRIALS = 400_000, 40_000
+    # DKW (Massart) for each sample at failure probability 1e-6 / 2; the
+    # two-sample distance is at most the sum by the triangle inequality
+    BOUND = sum(math.sqrt(math.log(4 / 1e-6) / (2 * n)) for n in (LAW_TRIALS, STATE_TRIALS))
+
+    def distance(self, law_dim, state_dim, k, seed):
+        return ks_distance(_chain_transmissions(law_dim, k, self.LAW_TRIALS, seed),
+                           state_chain_transmissions(state_dim, k, self.STATE_TRIALS, seed))
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_two_sample_dkw(self, dim, k):
+        assert self.distance(dim, dim, k, seed=100 * dim + k) < self.BOUND
+
+    def test_oracle_is_sensitive(self):
+        # the bound tells N = 16 from N = 20, whose CDFs are 0.08 apart
+        assert self.distance(20, 16, 0, seed=1) > self.BOUND
 
 
 class TestPolarizerChain:
@@ -304,24 +350,14 @@ class TestTrialStream:
 
     @pytest.mark.parametrize("dim,k", [(3, 0), (4, 2), (16, 1)])
     def test_projection_chain_replays_trial_by_trial(self, dim, k):
+        # trial t's overlaps are the Beta(1, N - 1) inverse CDF of the first
+        # k + 1 uniforms of its own block
         trials, seed = 200, 5
-        n, m = (k + 2) * dim, (k + 1) * dim
-        per_trial = 4 * -(-(n + m) // 4)
-        probs = []
+        per_trial = 4 * -(-(k + 1) // 4)
+        got = _chain_transmissions(dim, k, trials, seed)
         for t in range(trials):
-            u = rng.trial_uniforms(seed, t, 1, per_trial)[0]
-            moduli = np.sqrt(-np.log1p(-u[:n])).reshape(k + 2, dim)
-            delta = np.float32(2 * np.pi) * u[n:n + m].astype(np.float32)
-            eps = (np.cos(delta) + 1j * np.sin(delta)).astype(np.complex128)
-            eps /= np.abs(eps)
-            phases = np.vstack([np.ones(dim), np.cumprod(eps.reshape(k + 1, dim), axis=0)])
-            states = [s / np.linalg.norm(s) for s in moduli * phases]
-            p = 1.0
-            for a, b in zip(states, states[1:]):
-                p *= abs(np.vdot(a, b)) ** 2
-            probs.append(p)
-        report = random_projection_chain(dim, k, trials=trials, seed=seed)
-        assert abs(report.transmission_probability - np.mean(probs)) <= 1e-14 * np.mean(probs)
+            u = rng.trial_uniforms(seed, t, 1, per_trial)[0, :k + 1]
+            assert got[t] == np.prod(-np.expm1(np.log1p(-u) / (dim - 1)))
 
     @pytest.mark.parametrize("dim", [2, 16, 64])
     def test_pair_overlaps_follow_beta_one_n_minus_one(self, dim):

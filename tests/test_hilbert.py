@@ -24,6 +24,7 @@ from manyworlds import (
 )
 from manyworlds.hilbert import (
     DEGENERACY_GAP,
+    DIM_CAP,
     EPS_EIG,
     EPS_NORM,
     EPS_RANK,
@@ -214,6 +215,13 @@ class TestPartialTrace:
     def test_inconsistent_split(self):
         with pytest.raises(ShapeError):
             partial_trace(haar_random_state(6, 0), BipartiteSplit(4, 2), "left")
+
+    def test_split_above_the_cap_is_refused(self):
+        # reconstruct builds a state on a decomposition's split without
+        # re-checking its dims, so the split itself must respect the cap
+        BipartiteSplit(2, DIM_CAP // 2)
+        with pytest.raises(CapacityError):
+            BipartiteSplit(2, DIM_CAP // 2 + 1)
 
 
 class TestEigHermitian:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manyworlds import (
     BipartiteSplit,
@@ -29,6 +31,23 @@ RANDOM_SPLITS = [(4, 6), (6, 4), (64, 2), (1024, 3), (8192, 2)]
 
 def bell_state():
     return make_state([1, 0, 0, 1], [2, 2])
+
+
+def padded_gap(a, b):
+    """Max entrywise gap of two descending spectra, missing entries as zeros."""
+    n = max(a.size, b.size)
+    return np.max(np.abs(np.pad(a, (0, n - a.size)) - np.pad(b, (0, n - b.size))))
+
+
+@st.composite
+def ranked_matrices(draw):
+    """A seed and a d_left x d_right amplitude matrix of Schmidt rank r, up to 16 x 16."""
+    d_left, d_right = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rank = draw(st.integers(1, min(d_left, d_right)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    z = np.random.default_rng(seed).standard_normal((d_left + d_right, rank, 2))
+    factors = z[..., 0] + 1j * z[..., 1]
+    return seed, factors[:d_left] @ factors[d_left:].T
 
 
 def phase_distance(a, b):
@@ -210,11 +229,31 @@ class TestInvariances:
         moved = make_state(u @ psi.amplitudes, [4, 6])
         base = schmidt_decompose(psi, split)
         other = schmidt_decompose(moved, split)
-        n = max(base.rank, other.rank)
-        a = np.pad(base.lambdas, (0, n - base.rank))
-        b = np.pad(other.lambdas, (0, n - other.rank))
-        assert np.max(np.abs(a - b)) < 1e-10
+        assert padded_gap(base.lambdas, other.lambdas) < 1e-10
 
     def test_reconstruct_renormalizes(self):
         rebuilt = reconstruct(schmidt_decompose(bell_state(), BipartiteSplit(2, 2)))
         assert abs(np.linalg.norm(rebuilt.amplitudes) - 1.0) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=ranked_matrices())
+    def test_lambdas_invariant_under_local_unitaries(self, case):
+        seed, m = case
+        d_left, d_right = m.shape
+        moved = (haar_random_unitary(d_left, seed).entries @ m
+                 @ haar_random_unitary(d_right, seed + 1).entries.T)
+        split = BipartiteSplit(d_left, d_right)
+        base = schmidt_decompose(make_state(m.reshape(-1), [d_left, d_right]), split)
+        other = schmidt_decompose(make_state(moved.reshape(-1), [d_left, d_right]), split)
+        assert padded_gap(base.lambdas, other.lambdas) < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=ranked_matrices())
+    def test_lambdas_symmetric_under_swapping_the_split(self, case):
+        _, m = case
+        d_left, d_right = m.shape
+        base = schmidt_decompose(make_state(m.reshape(-1), [d_left, d_right]),
+                                 BipartiteSplit(d_left, d_right))
+        swapped = schmidt_decompose(make_state(m.T.reshape(-1), [d_right, d_left]),
+                                    BipartiteSplit(d_right, d_left))
+        assert padded_gap(base.lambdas, swapped.lambdas) < 1e-10
