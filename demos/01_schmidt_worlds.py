@@ -41,7 +41,7 @@ split = BipartiteSplit(4, 6)
 dec = schmidt_decompose(psi, split)
 print("\nrandom 4x6 state   rank:", dec.rank)
 print("     coefficients:", np.array_str(dec.lambdas, precision=4))
-print("      spectra gap:", f"{spectra_gap(psi, split):.2e}")
+print("      spectra gap:", f"{spectra_gap(psi, dec):.2e}")
 
 # The decomposition is lossless: summing sqrt(lambda_n) left_n x right_n
 # returns the original amplitudes.

@@ -65,7 +65,7 @@ class Param:
         return "--" + self.name.replace("_", "-")
 
     def validate(self, value) -> None:
-        if self.minimum is not None and value < self.minimum:
+        if self.minimum is not None and not value >= self.minimum:
             raise ConfigError(f"{self.name} must be >= {self.minimum}, got {value}")
         if self.choices is not None and value not in self.choices:
             raise ConfigError(
@@ -86,11 +86,6 @@ def _run_schmidt(p: dict, seed: int):
     split = BipartiteSplit(p["d_left"], p["d_right"])
     psi = haar_random_state(split.total, seed)
     dec = schmidt_decompose(psi, split)
-    rebuilt = reconstruct(dec)
-    # distance up to a global phase: align the reconstruction first
-    overlap = np.vdot(rebuilt.amplitudes, psi.amplitudes)
-    aligned = rebuilt.amplitudes * (overlap / abs(overlap))
-    error = float(np.linalg.norm(aligned - psi.amplitudes))
     return SchmidtReport(
         d_left=p["d_left"],
         d_right=p["d_right"],
@@ -98,8 +93,8 @@ def _run_schmidt(p: dict, seed: int):
         rank=dec.rank,
         lambdas=tuple(dec.lambdas.tolist()),
         entanglement_entropy=entanglement_entropy(dec),
-        spectra_gap=spectra_gap(psi, split),
-        reconstruction_error=error,
+        spectra_gap=spectra_gap(psi, dec),
+        reconstruction_error=float(np.linalg.norm(reconstruct(dec).amplitudes - psi.amplitudes)),
     )
 
 

@@ -9,9 +9,9 @@ drawn and evaluated at once and reports do not depend on the chunking.
 The random-state drivers never build a state: each overlap along a chain
 of uniformly random states is drawn from its exact law, Beta(1, N - 1)
 independent of the states before it, one uniform per overlap. One trial's
-block is capped at TRIAL_BLOCK_CAP uniforms and the exact full-branching
-walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs raise CapacityError
-before anything is drawn or summed.
+block is capped at TRIAL_BLOCK_CAP uniforms, a run at TRIALS_CAP trials and
+the exact full-branching walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs
+raise CapacityError before anything is drawn or summed.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ DEFAULT_UNIVERSE_AGE_S = 4.35e17
 DEFAULT_PLANCK_TIME_S = 5.39e-44
 
 TRIAL_BLOCK_CAP = 2**24           # most uniforms one trial may read (128 MiB of float64)
+TRIALS_CAP = 2**26                # most trials of one run; each keeps ~16 B (1 GiB in all)
 # The reported branch count 2**depth must print within Python's default limit
 # of 4300 decimal digits; at this depth the O(depth^2) big-int sums take ~0.04 s.
 FULL_BRANCHING_DEPTH_CAP = 14_284
@@ -59,8 +60,8 @@ class WorldCountConfig:
     growth_model: str = "linear"   # "linear" | "exponential"
 
     def __post_init__(self):
-        if not (self.universe_age_s > 0.0 and self.planck_time_s > 0.0):
-            raise ValueError("ages and times must be positive")
+        if not (0.0 < self.universe_age_s < math.inf and 0.0 < self.planck_time_s < math.inf):
+            raise ValueError("ages and times must be positive and finite")
         if self.universe_age_s <= self.planck_time_s:
             raise ValueError("universe age must exceed the elementary time step")
         if self.growth_model not in ("linear", "exponential"):
@@ -99,6 +100,8 @@ def _trial_blocks(seed: int, trials: int, uniforms: int):
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if trials > TRIALS_CAP:
+        raise CapacityError(f"{trials} trials exceed the cap {TRIALS_CAP}")
     if uniforms > TRIAL_BLOCK_CAP:
         raise CapacityError(
             f"one trial needs {uniforms} uniforms, above the cap {TRIAL_BLOCK_CAP}"
@@ -215,7 +218,7 @@ def evolution_walk(
     "single-history" mode one seeded trajectory is followed per trial and
     statistics are taken over trials. Full-branching depths above
     FULL_BRANCHING_DEPTH_CAP, and single-history depths above
-    TRIAL_BLOCK_CAP, raise CapacityError.
+    TRIAL_BLOCK_CAP or trials above TRIALS_CAP, raise CapacityError.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")

@@ -90,7 +90,7 @@ class StateVector:
 
 
 def _check_unit_norm(norm) -> None:
-    if abs(norm - 1.0) > EPS_NORM:
+    if not abs(norm - 1.0) <= EPS_NORM:  # also refuses a NaN norm
         raise DegenerateStateError(
             f"state norm {norm!r} deviates from 1 by more than {EPS_NORM}"
         )
@@ -142,14 +142,15 @@ class DensityMatrix:
             raise ShapeError(f"density matrix must be square, got shape {mat.shape}")
         if mat.shape[0] != self.dim:
             raise ShapeError(f"declared dim {self.dim} != matrix size {mat.shape[0]}")
-        herm_dev = np.max(np.abs(mat - mat.conj().T))
-        if herm_dev > EPS_HERM:
+        with np.errstate(invalid="ignore"):  # an inf entry makes it NaN, refused below
+            herm_dev = np.max(np.abs(mat - mat.conj().T))
+        if not herm_dev <= EPS_HERM:
             raise ShapeError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
         trace_dev = abs(np.trace(mat).real - 1.0)
-        if trace_dev > EPS_HERM:
+        if not trace_dev <= EPS_HERM:
             raise ShapeError(f"trace deviates from 1 by {trace_dev:.3e}")
         smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < -EPS_RANK:
+        if not smallest >= -EPS_RANK:
             raise ShapeError(f"matrix not positive semidefinite (min eig {smallest:.3e})")
         mat = mat.copy()
         mat.flags.writeable = False
@@ -164,7 +165,7 @@ class BipartiteSplit:
     d_right: int
 
     def __post_init__(self):
-        if self.d_left < 1 or self.d_right < 1:
+        if not (self.d_left >= 1 and self.d_right >= 1):
             raise ShapeError(f"split factors must be >= 1, got {self}")
         if self.total > DIM_CAP:
             raise CapacityError(f"total dimension {self.total} exceeds the cap {DIM_CAP}")
@@ -204,8 +205,9 @@ class UnitaryOperator:
         k = mat.shape[0]
         if k < 1 or self.dim < 1 or self.dim % k:
             raise ShapeError(f"factor size {k} does not divide declared dim {self.dim}")
-        dev = np.abs(mat.conj().T @ mat - np.eye(k)).max()
-        if dev > EPS_EIG:
+        with np.errstate(invalid="ignore"):  # an inf entry makes it NaN, refused below
+            dev = np.abs(mat.conj().T @ mat - np.eye(k)).max()
+        if not dev <= EPS_EIG:
             raise ShapeError(f"operator is not unitary (max |U†U - I| = {dev:.3e})")
         mat = mat.copy()
         mat.flags.writeable = False
@@ -225,8 +227,8 @@ class UnitaryOperator:
 def make_state(amplitudes, dims) -> StateVector:
     """Normalize raw amplitudes into a StateVector with the given dims.
 
-    Raises DegenerateStateError for a zero vector and ShapeError when the
-    amplitude count does not match the product of dims.
+    Raises DegenerateStateError for a zero or non-finite norm and ShapeError
+    when the amplitude count does not match the product of dims.
     """
     amps = _as_complex_vector(amplitudes)
     dims = _check_dims(dims)
@@ -235,8 +237,8 @@ def make_state(amplitudes, dims) -> StateVector:
             f"{amps.size} amplitudes do not fill subsystems of dims {dims}"
         )
     norm = np.linalg.norm(amps)
-    if norm <= 0.0:
-        raise DegenerateStateError("degenerate state: zero amplitude vector")
+    if not 0.0 < norm < math.inf:
+        raise DegenerateStateError(f"degenerate state: amplitude norm {norm}")
     return _fresh_state(amps / norm, dims)
 
 

@@ -56,15 +56,15 @@ class SchmidtDecomposition:
             raise DecompositionError("coefficients must be sorted descending")
         if (lam <= EPS_RANK).any():
             raise DecompositionError("retained coefficient at or below the zero threshold")
-        if abs(lam.sum() - 1.0) > EPS_EIG:
+        if not abs(lam.sum() - 1.0) <= EPS_EIG:
             raise DecompositionError(f"coefficients sum to {lam.sum()!r}, not 1")
-        identity = np.eye(self.rank)
         for name, mat, d in (("left", left, self.split.d_left),
                              ("right", right, self.split.d_right)):
             if mat.shape != (d, self.rank):
                 raise DecompositionError(f"{name} vectors have shape {mat.shape}")
-            gram_dev = np.abs(mat.conj().T @ mat - identity).max()
-            if gram_dev > EPS_EIG:
+            with np.errstate(invalid="ignore"):  # an inf entry makes it NaN, refused below
+                gram_dev = np.abs(mat.conj().T @ mat - np.eye(self.rank)).max()
+            if not gram_dev <= EPS_EIG:
                 raise DecompositionError(
                     f"{name} vectors not orthonormal (deviation {gram_dev:.3e})"
                 )
@@ -98,7 +98,7 @@ def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecompo
 
     raw_right = m.T @ left.conj()            # column n: <left_n| psi, a right-side vector
     norms = np.linalg.norm(raw_right, axis=0)
-    if (norms**2 <= EPS_RANK).any():
+    if not (norms**2 > EPS_RANK).all():
         raise DecompositionError(
             "retained coefficient vanished during pairing; state is numerically pathological"
         )
@@ -106,32 +106,31 @@ def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecompo
 
     dec = SchmidtDecomposition(lambdas, left, right, rank, split)
     residual = np.linalg.norm(_reconstruction_amplitudes(dec) - psi.amplitudes)
-    if residual > EPS_EIG:
+    if not residual <= EPS_EIG:
         raise DecompositionError(
             f"reconstruction misses the input by {residual:.3e} (> {EPS_EIG})"
         )
     return dec
 
 
-def spectra_gap(psi: StateVector, split: BipartiteSplit) -> float:
-    """Self-diagnostic: distance between the two reduced spectra.
+def spectra_gap(psi: StateVector, dec: SchmidtDecomposition) -> float:
+    """Self-diagnostic: distance between dec's coefficients and psi's reduced spectrum.
 
-    Both reduced matrices of a pure state must share their nonzero spectrum.
-    Independently of schmidt_decompose, it eigensolves the smaller one, takes
-    the other from the singular values of the amplitude matrix, and returns
-    the max elementwise gap between the descending spectra entries above
-    EPS_RANK, an entry missing from the shorter one counting as zero.
-    The smaller reduced matrix is formed straight from the amplitudes that
-    StateVector has already checked, so it is Hermitian with unit trace by
-    construction. It is not wrapped in a DensityMatrix, whose positivity
-    check would run a second eigensolve on the spectrum compared here.
+    Both reduced matrices of a pure state share the nonzero spectrum that
+    `dec.lambdas` publishes. To check it by a factorization other than dec's
+    SVD, this eigensolves the smaller reduced matrix of `psi` on `dec.split`
+    and returns the max elementwise gap between its descending eigenvalues
+    above EPS_RANK and `dec.lambdas`, an entry missing from the shorter one
+    counting as zero. That matrix is formed straight from amplitudes that
+    StateVector has checked, so it is Hermitian with unit trace by
+    construction; a DensityMatrix would re-check its positivity with a
+    second eigensolve of the very spectrum compared here.
     """
-    split.require_match(psi)
-    m = psi.amplitudes.reshape(split.d_left, split.d_right)
-    reduced = m @ m.conj().T if split.d_left <= split.d_right else m.T @ m.conj()
+    dec.split.require_match(psi)
+    m = psi.amplitudes.reshape(dec.split.d_left, dec.split.d_right)
+    reduced = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.T @ m.conj()
     eigen = np.linalg.eigvalsh(reduced)[::-1]
-    singular = np.linalg.svd(m, compute_uv=False) ** 2
-    a, b = eigen[eigen > EPS_RANK], singular[singular > EPS_RANK]
+    a, b = eigen[eigen > EPS_RANK], dec.lambdas  # dec keeps only entries above EPS_RANK
     k = min(a.size, b.size)
     tail = a[k:] if a.size > k else b[k:]  # entries above EPS_RANK are positive
     return float(max(np.abs(a[:k] - b[:k]).max(initial=0.0), tail.max(initial=0.0)))

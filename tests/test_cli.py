@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from manyworlds.cli import main, parse_config
 from manyworlds.experiments import (
     FULL_BRANCHING_DEPTH_CAP,
     TRIAL_BLOCK_CAP,
+    TRIALS_CAP,
     ComplexityReport,
     OverlapReport,
     WorldCountReport,
@@ -85,6 +88,16 @@ class TestExitCodes:
         assert main(["zeno", "--k", "-1"]) == 2
         assert "k must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "error: universe_age_s must be >= 0.0, got nan\n"),
+        ("inf", "error: ages and times must be positive and finite\n"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_float_flag_is_two(self, tmp_path, capsys, value, message):
+        out = tmp_path / "never.json"
+        assert main(["worlds", "--universe-age-s", value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_unknown_experiment_is_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -123,6 +136,27 @@ class TestExitCodes:
             f"error: one trial needs {TRIAL_BLOCK_CAP + 1} uniforms, "
             f"above the cap {TRIAL_BLOCK_CAP}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["overlap", "--dim", "2"],
+        ["zeno-random", "--dim", "2", "--k", "0"],
+        ["evolve", "--mode", "single-history", "--depth", "1"],
+    ])
+    def test_trials_cap_is_four(self, tmp_path, capsys, args):
+        # refused before anything is drawn: the run would keep ~16 B per trial
+        out = tmp_path / "never.json"
+        tracemalloc.start()
+        try:
+            code = main(args + ["--trials", str(TRIALS_CAP + 1), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"error: {TRIALS_CAP + 1} trials exceed the cap {TRIALS_CAP}\n"
+        )
+        assert peak < 2**20
         assert not out.exists()
 
     def test_full_branching_depth_cap_is_four(self, tmp_path, capsys):
@@ -172,7 +206,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.6.0"
+        assert payload["version"] == "0.7.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"
@@ -221,6 +255,22 @@ class TestOutputs:
         assert result["spectra_gap"] < 1e-10
         assert result["reconstruction_error"] < 1e-10
         assert abs(sum(result["lambdas"]) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("d_left,d_right", [(2, 2), (4, 6), (8, 3)])
+    def test_schmidt_run_factors_once(self, tmp_path, monkeypatch, capsys, d_left, d_right):
+        # the report's spectrum, gap and reconstruction all come from one SVD
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        out = tmp_path / "s.json"
+        assert main(["schmidt", "--d-left", str(d_left), "--d-right", str(d_right),
+                     "--out", str(out)]) == 0
+        assert calls == [(d_left, d_right)]
 
 
 class TestRunsAtDimensionCap:

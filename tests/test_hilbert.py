@@ -11,6 +11,7 @@ from manyworlds import (
     DegenerateStateError,
     DensityMatrix,
     ShapeError,
+    StateVector,
     UnitaryOperator,
     apply_unitary,
     basis_state,
@@ -22,6 +23,7 @@ from manyworlds import (
     partial_trace,
     tensor,
 )
+from manyworlds.experiments import WorldCountConfig
 from manyworlds.hilbert import (
     DEGENERACY_GAP,
     DIM_CAP,
@@ -33,6 +35,7 @@ from manyworlds.hilbert import (
     _degenerate_clusters,
     _fresh_states,
 )
+from manyworlds.schmidt import DecompositionError, SchmidtDecomposition
 
 
 def reduced_by_outer_product(psi, d_left, d_right, keep):
@@ -87,6 +90,61 @@ class TestFreshStates:
         assert [s.dims for s in states] == [(3, 2)] * 3
         assert all(np.shares_memory(s.amplitudes, rows) for s in states)
         assert not any(s.amplitudes.flags.writeable for s in states)
+
+
+NAN, INF = math.nan, math.inf
+COLUMN = np.eye(2)[:, :1]
+NON_FINITE_INPUTS = {
+    "make_state-nan": (lambda: make_state([NAN, 1], [2]), DegenerateStateError),
+    "make_state-inf": (lambda: make_state([INF, 1], [2]), DegenerateStateError),
+    "make_state-complex-nan": (lambda: make_state([complex(1, NAN), 1], [2]),
+                               DegenerateStateError),
+    "StateVector-nan": (lambda: StateVector(np.array([NAN, 1]), (2,)), DegenerateStateError),
+    "StateVector-inf": (lambda: StateVector(np.array([INF, 0]), (2,)), DegenerateStateError),
+    "fresh_states-nan": (lambda: _fresh_states(np.array([[1, 0], [NAN, 0]], complex), (2,)),
+                         DegenerateStateError),
+    "UnitaryOperator-nan": (lambda: UnitaryOperator(np.array([[NAN]]), 2), ShapeError),
+    "UnitaryOperator-inf": (lambda: UnitaryOperator(np.array([[INF]]), 2), ShapeError),
+    "UnitaryOperator-nan-entry": (lambda: UnitaryOperator(np.array([[1, 0], [0, NAN]]), 2),
+                                  ShapeError),
+    "DensityMatrix-nan": (lambda: DensityMatrix(np.array([[NAN]]), 1), ShapeError),
+    "DensityMatrix-inf": (lambda: DensityMatrix(np.array([[INF]]), 1), ShapeError),
+    "DensityMatrix-nan-offdiag": (
+        lambda: DensityMatrix(np.array([[1, NAN], [NAN, 0]]), 2), ShapeError),
+    "BipartiteSplit-nan": (lambda: BipartiteSplit(NAN, 2), ShapeError),
+    "BipartiteSplit-inf": (lambda: BipartiteSplit(2, INF), CapacityError),
+    "SchmidtDecomposition-nan-lambda": (
+        lambda: SchmidtDecomposition(np.array([NAN]), COLUMN, COLUMN, 1, BipartiteSplit(2, 2)),
+        DecompositionError),
+    "SchmidtDecomposition-inf-lambda": (
+        lambda: SchmidtDecomposition(np.array([INF]), COLUMN, COLUMN, 1, BipartiteSplit(2, 2)),
+        DecompositionError),
+    "SchmidtDecomposition-nan-vector": (
+        lambda: SchmidtDecomposition(np.array([1.0]), np.array([[NAN], [0]]), COLUMN, 1,
+                                     BipartiteSplit(2, 2)),
+        DecompositionError),
+    "SchmidtDecomposition-inf-vector": (
+        lambda: SchmidtDecomposition(np.array([1.0]), COLUMN, np.array([[INF], [0]]), 1,
+                                     BipartiteSplit(2, 2)),
+        DecompositionError),
+    "WorldCountConfig-nan": (lambda: WorldCountConfig(universe_age_s=NAN), ValueError),
+    "WorldCountConfig-inf-age": (lambda: WorldCountConfig(universe_age_s=INF), ValueError),
+    "WorldCountConfig-inf-time": (lambda: WorldCountConfig(planck_time_s=INF), ValueError),
+}
+
+
+class TestNonFiniteInput:
+    """Every validating constructor refuses NaN and inf with its documented error.
+
+    A tolerance check written `dev > eps` lets a NaN deviation through; the
+    checks are written `not dev <= eps` instead.
+    """
+
+    @pytest.mark.parametrize("case", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+    def test_refused(self, case):
+        build, error = case
+        with pytest.raises(error):
+            build()
 
 
 class TestTensor:

@@ -148,25 +148,42 @@ class TestRank:
 
 class TestSpectraGap:
     def test_bell_gap_zero(self):
-        assert spectra_gap(bell_state(), BipartiteSplit(2, 2)) < 1e-12
+        psi = bell_state()
+        assert spectra_gap(psi, schmidt_decompose(psi, BipartiteSplit(2, 2))) < 1e-12
 
     def test_product_gap_zero(self):
         psi = tensor(basis_state(0, 2), basis_state(1, 3))
-        assert spectra_gap(psi, BipartiteSplit(2, 3)) < 1e-12
+        assert spectra_gap(psi, schmidt_decompose(psi, BipartiteSplit(2, 3))) < 1e-12
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_states_small_gap(self, seed):
         d_left, d_right = [(2, 2), (2, 8), (4, 4), (4, 6), (8, 8)][seed % 5]
         psi = haar_random_state(d_left * d_right, seed)
-        assert spectra_gap(psi, BipartiteSplit(d_left, d_right)) < 1e-10
+        dec = schmidt_decompose(psi, BipartiteSplit(d_left, d_right))
+        assert spectra_gap(psi, dec) < 1e-10
+
+    @pytest.mark.parametrize("d_left,d_right", [(2, 2), (4, 6), (8, 8)])
+    def test_other_states_decomposition_shows_a_gap(self, d_left, d_right):
+        # the coefficients are compared with psi's own spectrum, so a
+        # decomposition of another state on the same split cannot pass
+        split = BipartiteSplit(d_left, d_right)
+        psi = haar_random_state(split.total, 1)
+        phi = haar_random_state(split.total, 2)
+        assert spectra_gap(psi, schmidt_decompose(phi, split)) > 1e-3
+
+    def test_mismatched_split_is_shape_error(self):
+        dec = schmidt_decompose(bell_state(), BipartiteSplit(2, 2))
+        with pytest.raises(ShapeError):
+            spectra_gap(haar_random_state(6, 0), dec)
 
     @pytest.mark.parametrize("d_left,d_right", [(2048, 1), (1, 2048)])
     def test_never_forms_the_larger_reduced_matrix(self, d_left, d_right):
         # the larger reduced matrix alone would take 16 * 2048**2 bytes = 64 MiB
         psi = haar_random_state(d_left * d_right, 1)
+        dec = schmidt_decompose(psi, BipartiteSplit(d_left, d_right))
         tracemalloc.start()
         try:
-            gap = spectra_gap(psi, BipartiteSplit(d_left, d_right))
+            gap = spectra_gap(psi, dec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
