@@ -103,7 +103,6 @@ class BranchTree:
         self.max_leaves = int(max_leaves)
         self.step_counter = 0
         self.root_id = 0
-        self._next_id = 1
         root = BranchNode(
             id=0,
             parent_id=None,
@@ -115,7 +114,7 @@ class BranchTree:
             birth_step=0,
             history=[_BranchEvent(0, 0.0)],
         )
-        self.nodes: dict[int, BranchNode] = {0: root}
+        self.nodes: dict[int, BranchNode] = {0: root}  # ids are dense; no node is removed
         self.ledger = EntropyLedger()
         self._record_ledger()
 
@@ -124,9 +123,6 @@ class BranchTree:
             return self.nodes[node_id]
         except KeyError:
             raise KeyError(f"unknown branch id {node_id}") from None
-
-    def is_leaf(self, node_id: int) -> bool:
-        return not self.node(node_id).children
 
     def leaf_ids(self) -> list[int]:
         return [nid for nid, node in self.nodes.items() if not node.children]
@@ -142,11 +138,6 @@ class BranchTree:
             raise ShapeError(f"branch {leaf_id} is not a leaf")
         node.state = tensor(node.state, ancilla)
 
-    def _allocate_id(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return nid
-
     def _record_ledger(self) -> None:
         entropies = tuple(
             _weight_entropy(self.nodes[nid].cumulative_weight) for nid in self.leaf_ids()
@@ -155,10 +146,8 @@ class BranchTree:
 
 
 def total_entropy(tree: BranchTree) -> float:
-    """Entropy -sum w ln w of the current leaf weight distribution, in nats."""
-    return math.fsum(
-        _weight_entropy(tree.nodes[nid].cumulative_weight) for nid in tree.leaf_ids()
-    )
+    """Entropy -sum w ln w of the current leaf weights, in nats: the latest ledger total."""
+    return tree.ledger.records[-1].total_entropy
 
 
 def premeasurement_unitary(n_outcomes: int, device_dim: int) -> UnitaryOperator:
@@ -208,52 +197,45 @@ def interact_and_branch(
     new_state = apply_unitary(u, node.state)
     dec = schmidt_decompose(new_state, split)
     step = tree.step_counter + 1
+    children: list[BranchNode] = []
+    if dec.rank > 1:
+        n_leaves_after = len(tree.leaf_ids()) - 1 + dec.rank
+        if n_leaves_after > tree.max_leaves:
+            raise CapacityError(
+                f"branching to {n_leaves_after} leaves exceeds the cap {tree.max_leaves}"
+            )
+        # Row n is left_n (x) right_n. The split factors the validated new_state
+        # and the decomposition checked both vector shapes, so only the norms
+        # are left to check; the children share this one read-only array.
+        left, right = dec.left_vectors.T, dec.right_vectors.T
+        pairs = np.multiply(left[:, :, None], right[:, None, :], order="C")
+        child_dims = (int(split.d_left), int(split.d_right))
+        child_states = _fresh_states(pairs.reshape(dec.rank, -1), child_dims)
+        first_id = len(tree.nodes)
+        children = [
+            BranchNode(
+                id=first_id + n,
+                parent_id=leaf_id,
+                weight=weight,
+                cumulative_weight=node.cumulative_weight * weight,
+                state=child_state,
+                relative_entropy=_weight_entropy(weight),
+                rescaled_entropy=0.0,
+                birth_step=step,
+                history=[_BranchEvent(step, 0.0)],
+            )
+            for n, (weight, child_state) in enumerate(zip(dec.lambdas.tolist(), child_states))
+        ]
+
     within_branch = entanglement_entropy(dec)
-
-    if dec.rank == 1:
-        node.state = new_state
-        node.rescaled_entropy = within_branch
-        node.history.append(_BranchEvent(step, within_branch))
-        tree.step_counter = step
-        tree._record_ledger()
-        return []
-
-    n_leaves_after = len(tree.leaf_ids()) - 1 + dec.rank
-    if n_leaves_after > tree.max_leaves:
-        raise CapacityError(
-            f"branching to {n_leaves_after} leaves exceeds the cap {tree.max_leaves}"
-        )
-
     node.state = new_state
     node.rescaled_entropy = within_branch
     node.history.append(_BranchEvent(step, within_branch))
-
-    # Row n is left_n (x) right_n. The split factors the validated new_state
-    # and the decomposition checked both vector shapes, so only the norms
-    # are left to check; the children share this one read-only array.
-    pairs = np.multiply(dec.left_vectors.T[:, :, None], dec.right_vectors.T[:, None, :], order="C")
-    child_dims = (int(split.d_left), int(split.d_right))
-    child_states = _fresh_states(pairs.reshape(dec.rank, -1), child_dims)
-    child_ids: list[int] = []
-    for weight, child_state in zip(dec.lambdas.tolist(), child_states):
-        child = BranchNode(
-            id=tree._allocate_id(),
-            parent_id=leaf_id,
-            weight=weight,
-            cumulative_weight=node.cumulative_weight * weight,
-            state=child_state,
-            relative_entropy=_weight_entropy(weight),
-            rescaled_entropy=0.0,
-            birth_step=step,
-            history=[_BranchEvent(step, 0.0)],
-        )
-        tree.nodes[child.id] = child
-        child_ids.append(child.id)
-    node.children = child_ids
-
+    node.children = [child.id for child in children]
+    tree.nodes.update((child.id, child) for child in children)
     tree.step_counter = step
     tree._record_ledger()
-    return child_ids
+    return node.children
 
 
 def rescaled_entropy_trace(tree: BranchTree, node_id: int) -> list[tuple[int, float]]:
@@ -288,14 +270,13 @@ def build_chain_tree(
     n_devices: int,
     amplitudes=None,
     seed: int = 0,
-    max_leaves: int = DEFAULT_MAX_LEAVES,
 ) -> BranchTree:
     """Couple an object to a chain of fresh devices, branching at each step.
 
     Each device starts in its ready state |0> and is coupled through the
     conditional-shift premeasurement. After every branching the followed
-    branch (highest weight, lowest index on ties) has its object register
-    rotated back to the initial superposition by a deterministic
+    branch (the first child, which has the highest weight) has its object
+    register rotated back to the initial superposition by a deterministic
     re-preparation unitary, itself applied as a further rank-preserving
     interaction. When ``amplitudes`` is omitted the object state is drawn
     uniformly from the seed.
@@ -318,7 +299,7 @@ def build_chain_tree(
     prep = _preparation_unitary(obj.amplitudes)
     ready = basis_state(0, object_dim)
 
-    tree = BranchTree(obj, max_leaves=max_leaves)
+    tree = BranchTree(obj)
     followed = tree.root_id
     for _ in range(n_devices):
         prior_dim = tree.node(followed).state.dim
@@ -329,8 +310,7 @@ def build_chain_tree(
         children = interact_and_branch(tree, followed, shift, split)
         if not children:
             continue
-        weights = [tree.node(c).weight for c in children]
-        followed = children[int(np.argmax(weights))]
+        followed = children[0]  # children come in descending weight
         outcome = _object_outcome(tree.node(followed).state, object_dim)
         cols = np.arange(object_dim)
         cols[[0, outcome]] = outcome, 0
@@ -345,7 +325,6 @@ def run_chain_protocol(
     n_devices: int,
     amplitudes=None,
     seed: int = 0,
-    max_leaves: int = DEFAULT_MAX_LEAVES,
 ) -> EntropyLedger:
     """Entropy ledger of the device-chain protocol; see build_chain_tree."""
-    return build_chain_tree(object_dim, n_devices, amplitudes, seed, max_leaves).ledger
+    return build_chain_tree(object_dim, n_devices, amplitudes, seed).ledger

@@ -44,13 +44,6 @@ class CapacityError(RuntimeError):
     """A hard resource cap (dimension or branch count) would be exceeded."""
 
 
-def _as_complex_vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a 1-d amplitude sequence, got shape {arr.shape}")
-    return arr
-
-
 def _check_dims(dims) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out:
@@ -63,6 +56,17 @@ def _check_dims(dims) -> tuple[int, ...]:
     return out
 
 
+def _checked_amplitudes(values, dims) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Caller amplitudes as a complex 1-d array that fills checked dims."""
+    amps = np.asarray(values, dtype=np.complex128)
+    if amps.ndim != 1:
+        raise ShapeError(f"expected a 1-d amplitude sequence, got shape {amps.shape}")
+    dims = _check_dims(dims)
+    if amps.size != math.prod(dims):
+        raise ShapeError(f"{amps.size} amplitudes do not fill subsystems of dims {dims}")
+    return amps, dims
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitudes over a composite tensor-product basis."""
@@ -71,12 +75,7 @@ class StateVector:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        amps = _as_complex_vector(self.amplitudes)
-        dims = _check_dims(self.dims)
-        if amps.size != math.prod(dims):
-            raise ShapeError(
-                f"{amps.size} amplitudes do not fill subsystems of dims {dims}"
-            )
+        amps, dims = _checked_amplitudes(self.amplitudes, self.dims)
         _check_unit_norm(np.linalg.norm(amps))
         amps = amps.copy()
         amps.flags.writeable = False
@@ -92,7 +91,7 @@ class StateVector:
 def _check_unit_norm(norm) -> None:
     if not abs(norm - 1.0) <= EPS_NORM:  # also refuses a NaN norm
         raise DegenerateStateError(
-            f"state norm {norm!r} deviates from 1 by more than {EPS_NORM}"
+            f"state norm {float(norm)!r} deviates from 1 by more than {EPS_NORM}"
         )
 
 
@@ -228,15 +227,21 @@ def make_state(amplitudes, dims) -> StateVector:
     """Normalize raw amplitudes into a StateVector with the given dims.
 
     Raises DegenerateStateError for a zero or non-finite norm and ShapeError
-    when the amplitude count does not match the product of dims.
+    when the amplitude count does not match the product of dims. A finite
+    vector whose norm under- or overflows is scaled by its largest part first.
     """
-    amps = _as_complex_vector(amplitudes)
-    dims = _check_dims(dims)
-    if amps.size != math.prod(dims):
-        raise ShapeError(
-            f"{amps.size} amplitudes do not fill subsystems of dims {dims}"
-        )
-    norm = np.linalg.norm(amps)
+    return _normalized_state(*_checked_amplitudes(amplitudes, dims))
+
+
+def _normalized_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
+    """_fresh_state of amps / |amps|, for a complex vector that fills checked dims."""
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rescaled below
+        norm = np.linalg.norm(amps)
+    if not 0.0 < norm < math.inf and np.isfinite(amps).all() and amps.any():
+        # real divisions: unlike a modulus or a complex division, none overflows
+        scale = np.maximum(np.abs(amps.real), np.abs(amps.imag)).max()
+        amps = amps.real / scale + 1j * (amps.imag / scale)
+        norm = np.linalg.norm(amps)
     if not 0.0 < norm < math.inf:
         raise DegenerateStateError(f"degenerate state: amplitude norm {norm}")
     return _fresh_state(amps / norm, dims)
@@ -376,8 +381,8 @@ def haar_random_state(dim: int, seed: int) -> StateVector:
 
     The same seed always reproduces the same state bit for bit.
     """
-    _check_dims((dim,))
-    return make_state(gaussian_amplitudes(rng_from_seed(seed), dim), (dim,))
+    dims = _check_dims((dim,))
+    return _normalized_state(gaussian_amplitudes(rng_from_seed(seed), dim), dims)
 
 
 def haar_random_unitary(dim: int, seed: int) -> UnitaryOperator:
@@ -386,8 +391,7 @@ def haar_random_unitary(dim: int, seed: int) -> UnitaryOperator:
     The QR phases are normalized with the diagonal of R so the distribution
     is exactly Haar rather than merely orthonormal.
     """
-    if dim < 1:
-        raise ShapeError(f"dimension must be >= 1, got {dim}")
+    _check_dims((dim,))
     rng = rng_from_seed(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     z /= math.sqrt(2.0)

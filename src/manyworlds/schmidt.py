@@ -39,31 +39,27 @@ class SchmidtDecomposition:
     lambdas: np.ndarray       # descending, each in (EPS_RANK, 1]
     left_vectors: np.ndarray  # (d_left, rank), orthonormal columns
     right_vectors: np.ndarray # (d_right, rank), orthonormal columns
-    rank: int
     split: BipartiteSplit
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=np.float64)
         left = np.asarray(self.left_vectors, dtype=np.complex128)
         right = np.asarray(self.right_vectors, dtype=np.complex128)
-        if lam.ndim != 1 or lam.size != self.rank:
-            raise DecompositionError("coefficient count must equal the rank")
-        if self.rank < 1 or self.rank > min(self.split.d_left, self.split.d_right):
-            raise DecompositionError(
-                f"rank {self.rank} outside [1, min{self.split.d_left, self.split.d_right}]"
-            )
+        rank, max_rank = lam.size, min(self.split.d_left, self.split.d_right)
+        if lam.ndim != 1 or not 1 <= rank <= max_rank:
+            raise DecompositionError(f"{lam.shape} coefficients: rank not in [1, {max_rank}]")
         if (lam[1:] > lam[:-1]).any():
             raise DecompositionError("coefficients must be sorted descending")
         if (lam <= EPS_RANK).any():
             raise DecompositionError("retained coefficient at or below the zero threshold")
         if not abs(lam.sum() - 1.0) <= EPS_EIG:
-            raise DecompositionError(f"coefficients sum to {lam.sum()!r}, not 1")
+            raise DecompositionError(f"coefficients sum to {float(lam.sum())!r}, not 1")
         for name, mat, d in (("left", left, self.split.d_left),
                              ("right", right, self.split.d_right)):
-            if mat.shape != (d, self.rank):
+            if mat.shape != (d, rank):
                 raise DecompositionError(f"{name} vectors have shape {mat.shape}")
             with np.errstate(invalid="ignore"):  # an inf entry makes it NaN, refused below
-                gram_dev = np.abs(mat.conj().T @ mat - np.eye(self.rank)).max()
+                gram_dev = np.abs(mat.conj().T @ mat - np.eye(rank)).max()
             if not gram_dev <= EPS_EIG:
                 raise DecompositionError(
                     f"{name} vectors not orthonormal (deviation {gram_dev:.3e})"
@@ -74,6 +70,10 @@ class SchmidtDecomposition:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "left_vectors", left)
         object.__setattr__(self, "right_vectors", right)
+
+    @property
+    def rank(self) -> int:
+        return self.lambdas.size
 
 
 def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecomposition:
@@ -104,7 +104,7 @@ def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecompo
         )
     right = raw_right / norms
 
-    dec = SchmidtDecomposition(lambdas, left, right, rank, split)
+    dec = SchmidtDecomposition(lambdas, left, right, split)
     residual = np.linalg.norm(_reconstruction_amplitudes(dec) - psi.amplitudes)
     if not residual <= EPS_EIG:
         raise DecompositionError(

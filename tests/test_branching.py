@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manyworlds import (
     BipartiteSplit,
@@ -256,6 +258,50 @@ class TestInteractAndBranch:
             assert abs(record.total_entropy - math.fsum(record.branch_entropies)) < 1e-10
 
 
+def leafwise_total_entropy(tree):
+    """-sum w ln w over the leaves, summed leaf by leaf as an independent oracle."""
+    return math.fsum(
+        -tree.node(nid).cumulative_weight * math.log(tree.node(nid).cumulative_weight) + 0.0
+        for nid in tree.leaf_ids()
+    )
+
+
+class TestTreeBookkeeping:
+    """Tree and ledger invariants after every step of random premeasurement cascades."""
+
+    @staticmethod
+    def check(tree):
+        assert list(tree.nodes) == list(range(len(tree.nodes)))
+        assert all(node.id == nid for nid, node in tree.nodes.items())
+        assert total_entropy(tree) == leafwise_total_entropy(tree)
+        for record in tree.ledger:
+            assert record.total_entropy == math.fsum(record.branch_entropies)
+        leaf_weights = [tree.node(nid).cumulative_weight for nid in tree.leaf_ids()]
+        assert abs(math.fsum(leaf_weights) - 1.0) <= 1e-12
+        for nid, node in tree.nodes.items():
+            if node.parent_id is not None:
+                assert rescaled_entropy_trace(tree, nid)[0] == (node.birth_step, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 2**32 - 1)),
+                          min_size=1, max_size=6))
+    def test_invariants_after_every_step(self, moves):
+        # each move rotates a leaf's qubit object, then premeasures it with a fresh device
+        tree = BranchTree(haar_random_state(2, moves[0][1]))
+        self.check(tree)
+        for pick, seed in moves:
+            leaves = tree.leaf_ids()
+            leaf = leaves[pick % len(leaves)]
+            dim = tree.node(leaf).state.dim
+            rotate = UnitaryOperator(haar_random_unitary(2, seed).entries, dim)
+            interact_and_branch(tree, leaf, rotate, BipartiteSplit(2, dim // 2))
+            self.check(tree)
+            tree.attach_ancilla(leaf, basis_state(0, 2))
+            shift = _conditional_shift(2, dim // 2, 2)
+            interact_and_branch(tree, leaf, shift, BipartiteSplit(dim, 2))
+            self.check(tree)
+
+
 class TestTotalEntropy:
     def test_single_leaf_zero(self):
         assert total_entropy(BranchTree(basis_state(0, 2))) == 0.0
@@ -421,20 +467,19 @@ class TestChildStates:
         skewed = dec.right_vectors.copy()
         skewed[:, 1] = (skewed[:, 0] + skewed[:, 1]) / math.sqrt(2)
         with pytest.raises(DecompositionError, match="right vectors not orthonormal"):
-            SchmidtDecomposition(dec.lambdas, dec.left_vectors, skewed, 2, dec.split)
+            SchmidtDecomposition(dec.lambdas, dec.left_vectors, skewed, dec.split)
 
     def test_vector_shape_must_fill_the_split(self):
         dec = schmidt_decompose(make_state([1, 0, 0, 1], (2, 2)), BipartiteSplit(2, 2))
         with pytest.raises(DecompositionError, match="vectors have shape"):
-            SchmidtDecomposition(dec.lambdas, dec.left_vectors, dec.right_vectors[:1], 2,
-                                 dec.split)
+            SchmidtDecomposition(dec.lambdas, dec.left_vectors, dec.right_vectors[:1], dec.split)
 
     def test_child_norm_still_checked(self, monkeypatch):
         # right vectors 2e-11 too long pass the 1e-10 Gram check, not the 1e-12 norm check
         def stretched(psi, split):
             dec = schmidt_decompose(psi, split)
             return SchmidtDecomposition(dec.lambdas, dec.left_vectors,
-                                        dec.right_vectors * (1 + 2e-11), dec.rank, split)
+                                        dec.right_vectors * (1 + 2e-11), split)
 
         monkeypatch.setattr(branching, "schmidt_decompose", stretched)
         tree = BranchTree(plus_device())

@@ -98,6 +98,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_age_not_above_time_step_is_two(self, tmp_path, capsys, source):
+        out = tmp_path / "never.json"
+        if source == "flags":
+            args = ["worlds", "--universe-age-s", "1", "--planck-time-s", "2"]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text("universe_age_s=1\nplanck_time_s=2\n")
+            args = ["worlds", "--config", str(path)]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "must exceed" in err[0]
+        assert not out.exists()
+
+    def test_config_file_format_outside_json_csv_is_two(self, tmp_path, capsys):
+        out = tmp_path / "never.xml"
+        path = tmp_path / "run.cfg"
+        path.write_text("k=1\nformat=xml\n")
+        assert main(["zeno", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'xml'" in err[0]
+        assert not out.exists()
+
     def test_unknown_experiment_is_two(self, capsys):
         assert main(["frobnicate"]) == 2
 

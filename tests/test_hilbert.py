@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ class TestMakeState:
         with pytest.raises(CapacityError):
             make_state(np.ones(2**15), [2**15])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
+    def test_direction_at_extreme_scale(self, scale):
+        # the plain norm overflows to inf or underflows to 0 at these scales
+        want = make_state([1, 1], [2]).amplitudes
+        assert np.abs(make_state([scale, scale], [2]).amplitudes - want).max() <= 1e-15
+
+    def test_extreme_complex_parts(self):
+        psi = make_state([complex(1e308, 1e308), complex(1e308, -1e308)], [2])
+        assert np.abs(psi.amplitudes - np.array([1 + 1j, 1 - 1j]) / 2).max() <= 1e-15
+
+    @pytest.mark.parametrize("amps", [[0, 0], [math.inf, 1], [math.nan, 1]],
+                             ids=["zero", "inf", "nan"])
+    def test_degenerate_amplitudes_still_refused(self, amps):
+        with pytest.raises(DegenerateStateError, match="degenerate state"):
+            make_state(amps, [2])
+
 
 class TestFreshStates:
     @pytest.mark.parametrize("bad_row", [0, 3, 6])
@@ -114,17 +131,17 @@ NON_FINITE_INPUTS = {
     "BipartiteSplit-nan": (lambda: BipartiteSplit(NAN, 2), ShapeError),
     "BipartiteSplit-inf": (lambda: BipartiteSplit(2, INF), CapacityError),
     "SchmidtDecomposition-nan-lambda": (
-        lambda: SchmidtDecomposition(np.array([NAN]), COLUMN, COLUMN, 1, BipartiteSplit(2, 2)),
+        lambda: SchmidtDecomposition(np.array([NAN]), COLUMN, COLUMN, BipartiteSplit(2, 2)),
         DecompositionError),
     "SchmidtDecomposition-inf-lambda": (
-        lambda: SchmidtDecomposition(np.array([INF]), COLUMN, COLUMN, 1, BipartiteSplit(2, 2)),
+        lambda: SchmidtDecomposition(np.array([INF]), COLUMN, COLUMN, BipartiteSplit(2, 2)),
         DecompositionError),
     "SchmidtDecomposition-nan-vector": (
-        lambda: SchmidtDecomposition(np.array([1.0]), np.array([[NAN], [0]]), COLUMN, 1,
+        lambda: SchmidtDecomposition(np.array([1.0]), np.array([[NAN], [0]]), COLUMN,
                                      BipartiteSplit(2, 2)),
         DecompositionError),
     "SchmidtDecomposition-inf-vector": (
-        lambda: SchmidtDecomposition(np.array([1.0]), COLUMN, np.array([[INF], [0]]), 1,
+        lambda: SchmidtDecomposition(np.array([1.0]), COLUMN, np.array([[INF], [0]]),
                                      BipartiteSplit(2, 2)),
         DecompositionError),
     "WorldCountConfig-nan": (lambda: WorldCountConfig(universe_age_s=NAN), ValueError),
@@ -144,6 +161,15 @@ class TestNonFiniteInput:
     def test_refused(self, case):
         build, error = case
         with pytest.raises(error):
+            build()
+
+    @pytest.mark.parametrize("name,message", [
+        ("StateVector-nan", "norm nan deviates"),
+        ("SchmidtDecomposition-nan-lambda", "sum to nan, not 1"),
+    ])
+    def test_message_prints_a_plain_float(self, name, message):
+        build, error = NON_FINITE_INPUTS[name]
+        with pytest.raises(error, match=message):
             build()
 
 
@@ -360,6 +386,23 @@ class TestHaarRandomState:
         )
         tolerance = 5 * math.sqrt(1 / 12 / n)
         assert abs(samples.mean() - 0.5) < tolerance
+
+
+class TestHaarRandomUnitary:
+    def test_zero_dim_rejected(self):
+        with pytest.raises(ShapeError):
+            haar_random_unitary(0, 1)
+
+    def test_dimension_cap_before_the_draw(self):
+        # past the cap the draw would be two 16385^2 Gaussian matrices, ~8 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                haar_random_unitary(DIM_CAP + 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestInvariantSweep:
