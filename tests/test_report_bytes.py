@@ -1,7 +1,10 @@
-"""Golden guard: report bytes of the small-call and dense paths stay fixed.
+"""Golden guard: the report bytes of all eight subcommands stay fixed.
 
-`report_bytes.json` holds the sha256 of the JSON and the CSV report of
-every run below, with the JSON `version` value masked so that a version
+The runs cover the small-call and dense paths (`schmidt`, `branch`,
+`chain`), the Monte Carlo inputs of the `trials-mc` benchmark workload
+(`overlap`, `zeno-random`, single-history `evolve`), and the deterministic
+`zeno`, `worlds` and full-branching `evolve`. `report_bytes.json` holds
+the sha256 of the JSON and the CSV report of every run below, with the JSON `version` value masked so that a version
 bump alone does not fail the guard. A change that alters any other byte
 fails here; if the change is intended (a new RNG stream or report field),
 bump `__version__` and regenerate the fixture with
@@ -28,6 +31,12 @@ RUNS = [
     *(f"schmidt --d-left {a} --d-right {b}" for a, b in SCHMIDT_SPLITS),
     *(f"branch --dim {d}" for d in BRANCH_DIMS),
     "chain --dim 2 --devices 9",
+    "overlap --dim 64 --trials 25000",
+    "zeno-random --dim 64 --k 4 --trials 15000",
+    "evolve --depth 10 --mode single-history --trials 25000",
+    *(f"zeno --k {k}" for k in (0, 1, 7, 1000)),
+    *(f"worlds --model {model}" for model in ("linear", "exponential")),
+    *(f"evolve --depth {depth} --mode full-branching" for depth in (0, 40, 333)),
 ]
 CASES = [f"{run} --seed {seed}" for run in RUNS for seed in SEEDS]
 
