@@ -32,7 +32,8 @@ from .hilbert import (
 )
 from .schmidt import entanglement_entropy, schmidt_decompose
 
-DEFAULT_MAX_LEAVES = 4096
+MAX_LEAVES = 4096          # most leaves one tree may hold
+CHAIN_DEVICES_CAP = 1024   # most devices of one chain; at dim 1 no dimension cap bounds it
 
 
 class PointerOverflowError(ValueError):
@@ -57,9 +58,6 @@ class EntropyLedger:
 
     def append(self, step: int, total: float, branch_entropies: tuple[float, ...]) -> None:
         self.records.append(LedgerRecord(step, total, branch_entropies))
-
-    def total_entropies(self) -> list[float]:
-        return [r.total_entropy for r in self.records]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -97,10 +95,7 @@ def _weight_entropy(w: float) -> float:
 class BranchTree:
     """Mutable world tree; single-writer, mutated only through module functions."""
 
-    def __init__(self, root_state: StateVector, max_leaves: int = DEFAULT_MAX_LEAVES):
-        if max_leaves < 1:
-            raise CapacityError(f"max_leaves must be >= 1, got {max_leaves}")
-        self.max_leaves = int(max_leaves)
+    def __init__(self, root_state: StateVector):
         self.step_counter = 0
         self.root_id = 0
         root = BranchNode(
@@ -200,9 +195,9 @@ def interact_and_branch(
     children: list[BranchNode] = []
     if dec.rank > 1:
         n_leaves_after = len(tree.leaf_ids()) - 1 + dec.rank
-        if n_leaves_after > tree.max_leaves:
+        if n_leaves_after > MAX_LEAVES:
             raise CapacityError(
-                f"branching to {n_leaves_after} leaves exceeds the cap {tree.max_leaves}"
+                f"branching to {n_leaves_after} leaves exceeds the cap {MAX_LEAVES}"
             )
         # Row n is left_n (x) right_n. The split factors the validated new_state
         # and the decomposition checked both vector shapes, so only the norms
@@ -285,11 +280,13 @@ def build_chain_tree(
         raise ShapeError(f"object dimension must be >= 1, got {object_dim}")
     if n_devices < 1:
         raise ShapeError(f"need at least one device, got {n_devices}")
-    final_dim = object_dim ** (n_devices + 1)
-    if final_dim > DIM_CAP:
+    if n_devices > CHAIN_DEVICES_CAP:
+        raise CapacityError(f"{n_devices} devices exceed the cap {CHAIN_DEVICES_CAP}")
+    # object_dim is checked first, so the power stays below DIM_CAP ** (CHAIN_DEVICES_CAP + 1)
+    if object_dim > DIM_CAP or object_dim ** (n_devices + 1) > DIM_CAP:
         raise CapacityError(
-            f"chain of {n_devices} devices reaches dimension {final_dim}, "
-            f"beyond the cap {DIM_CAP}"
+            f"chain of {n_devices} devices on a {object_dim}-dimensional object "
+            f"exceeds the dimension cap {DIM_CAP}"
         )
 
     if amplitudes is None:

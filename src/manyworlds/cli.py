@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid configuration, 3 unreadable or unwritable
 file, 4 resource cap exceeded or out of memory, 5 numerical self-check
-failed (a decomposition missed its own tolerance). Flags override
-config-file values; all validation happens before any computation starts.
+failed (a decomposition or the polarizer chain missed its own tolerance).
+Every error prints one `error:` line on stderr. Flags override config-file
+values; all validation happens before any computation starts.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ def _run_worlds(p: dict, seed: int):
     )
 
 
-EXPERIMENTS: dict[str, Experiment] = {
-    "schmidt": Experiment(
+EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
+    Experiment(
         "schmidt",
         (
             Param("d_left", int, minimum=1, help="left factor dimension"),
@@ -148,13 +149,13 @@ EXPERIMENTS: dict[str, Experiment] = {
         _run_schmidt,
         help="decompose a seeded random bipartite state",
     ),
-    "branch": Experiment(
+    Experiment(
         "branch",
         (Param("dim", int, minimum=2, help="object dimension"),),
         _run_branch,
         help="one premeasurement branching of a seeded random object",
     ),
-    "chain": Experiment(
+    Experiment(
         "chain",
         (
             Param("dim", int, minimum=1, help="object dimension"),
@@ -163,7 +164,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         _run_chain,
         help="device-chain protocol entropy ledger",
     ),
-    "overlap": Experiment(
+    Experiment(
         "overlap",
         (
             Param("dim", int, minimum=1, help="Hilbert-space dimension"),
@@ -172,13 +173,13 @@ EXPERIMENTS: dict[str, Experiment] = {
         lambda p, seed: overlap_statistics(p["dim"], p["trials"], seed),
         help="mean squared overlap of random state pairs",
     ),
-    "zeno": Experiment(
+    Experiment(
         "zeno",
         (Param("k", int, minimum=0, help="intermediate lens count"),),
         lambda p, seed: polarizer_chain(p["k"]),
         help="deterministic polarizer chain transmission",
     ),
-    "zeno-random": Experiment(
+    Experiment(
         "zeno-random",
         (
             Param("dim", int, minimum=2, help="Hilbert-space dimension"),
@@ -188,7 +189,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         lambda p, seed: random_projection_chain(p["dim"], p["k"], p["trials"], seed),
         help="random projection chain transmission",
     ),
-    "worlds": Experiment(
+    Experiment(
         "worlds",
         (
             Param("universe_age_s", float, default=DEFAULT_UNIVERSE_AGE_S, minimum=0.0,
@@ -201,7 +202,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         _run_worlds,
         help="order-of-magnitude world count",
     ),
-    "evolve": Experiment(
+    Experiment(
         "evolve",
         (
             Param("depth", int, minimum=0, help="number of mutation steps"),
@@ -213,11 +214,22 @@ EXPERIMENTS: dict[str, Experiment] = {
         lambda p, seed: evolution_walk(p["depth"], p["mode"], seed, p["trials"]),
         help="complexity random walk with reflecting barrier",
     ),
-}
+)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises ConfigError, so its errors print one line too.
+
+    Subparsers are made with the parser's own class; --help and --version
+    still print and exit as usual.
+    """
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="manyworlds",
         description="Seeded branching-dynamics experiments with deterministic reports.",
     )
@@ -322,7 +334,9 @@ def parse_config(argv=None) -> ExperimentConfig:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run exactly one experiment and write its serialized report."""
-    exp = EXPERIMENTS[config.experiment]
+    exp = EXPERIMENTS.get(config.experiment)
+    if exp is None:
+        raise ConfigError(f"unknown experiment {config.experiment!r}")
     started = time.perf_counter()
     payload = exp.runner(config.parameters, config.seed)
     report = ExperimentReport(
@@ -343,8 +357,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-    except SystemExit as exc:  # argparse has already printed its message
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:  # --help or --version has printed its text
+        return exc.code
     except ConfigFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -360,7 +374,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
-    except DecompositionError as exc:
+    except (DecompositionError, ArithmeticError) as exc:
         print(f"error: numerical self-check failed: {exc}", file=sys.stderr)
         return 5
     except OSError as exc:

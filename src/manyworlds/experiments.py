@@ -9,9 +9,10 @@ drawn and evaluated at once and reports do not depend on the chunking.
 The random-state drivers never build a state: each overlap along a chain
 of uniformly random states is drawn from its exact law, Beta(1, N - 1)
 independent of the states before it, one uniform per overlap. One trial's
-block is capped at TRIAL_BLOCK_CAP uniforms, a run at TRIALS_CAP trials and
-the exact full-branching walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs
-raise CapacityError before anything is drawn or summed.
+block is capped at TRIAL_BLOCK_CAP uniforms, a run at TRIALS_CAP trials,
+the exact full-branching walk at FULL_BRANCHING_DEPTH_CAP steps and the
+polarizer chain at POLARIZER_K_CAP lenses; larger runs raise CapacityError
+before anything is drawn or summed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ TRIALS_CAP = 2**26                # most trials of one run; each keeps ~16 B (1 
 # The reported branch count 2**depth must print within Python's default limit
 # of 4300 decimal digits; at this depth the O(depth^2) big-int sums take ~0.04 s.
 FULL_BRANCHING_DEPTH_CAP = 14_284
+POLARIZER_K_CAP = 2**20           # most lenses of one polarizer chain; one loop pass per stage
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,13 @@ def polarizer_chain(k: int) -> ZenoReport:
     A vertically prepared photon traverses k+1 projective stages, each
     rotated by pi/(2(k+1)) from the previous axis. Computed by sequential
     two-dimensional projection and cross-checked against the closed form
-    cos^(2(k+1))(pi / (2(k+1))).
+    cos^(2(k+1))(pi / (2(k+1))) within 8 (k+1) eps; a larger gap raises
+    ArithmeticError.
     """
     if k < 0:
         raise ValueError(f"intermediate lens count must be >= 0, got {k}")
+    if k > POLARIZER_K_CAP:
+        raise CapacityError(f"{k} lenses exceed the cap {POLARIZER_K_CAP}")
     stages = k + 1
     step = math.pi / (2 * stages)
     probability = 1.0
@@ -163,7 +168,8 @@ def polarizer_chain(k: int) -> ZenoReport:
         probability *= amplitude**2
         direction = axis
     closed_form = math.cos(step) ** (2 * stages)
-    if abs(probability - closed_form) > 1e-12:
+    # both sides round once or twice per stage: a first-order bound of the drift
+    if not abs(probability - closed_form) <= 8 * stages * math.ulp(1.0):
         raise ArithmeticError(
             f"sequential projection {probability!r} disagrees with closed form {closed_form!r}"
         )

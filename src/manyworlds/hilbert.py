@@ -271,11 +271,6 @@ def apply_unitary(u: UnitaryOperator, psi: StateVector) -> StateVector:
     return _fresh_state((u.entries @ amps.reshape(k, -1)).reshape(-1), psi.dims)
 
 
-def density_of(psi: StateVector) -> DensityMatrix:
-    """Rank-one projector |psi><psi|."""
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dim)
-
-
 def partial_trace(psi: StateVector, split: BipartiteSplit, keep: Side) -> DensityMatrix:
     """Reduced density matrix of one side of a pure bipartite state.
 
@@ -384,18 +379,3 @@ def haar_random_state(dim: int, seed: int) -> StateVector:
     dims = _check_dims((dim,))
     return _normalized_state(gaussian_amplitudes(rng_from_seed(seed), dim), dims)
 
-
-def haar_random_unitary(dim: int, seed: int) -> UnitaryOperator:
-    """Haar-distributed unitary via QR of a seeded complex Gaussian matrix.
-
-    The QR phases are normalized with the diagonal of R so the distribution
-    is exactly Haar rather than merely orthonormal.
-    """
-    _check_dims((dim,))
-    rng = rng_from_seed(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return UnitaryOperator(q, dim)

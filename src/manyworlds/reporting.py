@@ -5,6 +5,8 @@ version: JSON output is a single object with sorted keys, CSV output is a
 header row plus one data row, and all floating-point values are printed
 with 17 significant digits so doubles round-trip exactly. Volatile data
 (wall time, output destination) never reaches the serialized form.
+Reports are write-only: the package never reads one back, and any JSON
+reader reads the JSON form.
 
 Reports are flat: every payload field and config parameter is a scalar
 (None, bool, int, float or str) or a list or tuple of floats, so a report
@@ -14,15 +16,9 @@ is written field by field with all of its floats formatted in one pass.
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
-import typing
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Optional
-
-from .experiments import ComplexityReport, OverlapReport, WorldCountReport, ZenoReport
 
 
 class ConfigError(ValueError):
@@ -67,18 +63,6 @@ class ChainReport:
     leaf_count: int
 
 
-PAYLOAD_TYPES: dict[str, type] = {
-    "schmidt": SchmidtReport,
-    "branch": BranchReport,
-    "chain": ChainReport,
-    "overlap": OverlapReport,
-    "zeno": ZenoReport,
-    "zeno-random": ZenoReport,
-    "worlds": WorldCountReport,
-    "evolve": ComplexityReport,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully validated description of one experiment run."""
@@ -87,11 +71,9 @@ class ExperimentConfig:
     parameters: dict
     seed: int
     output_format: str = "json"
-    output_path: Optional[str] = None
+    output_path: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in PAYLOAD_TYPES:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
@@ -107,16 +89,14 @@ class ExperimentReport:
     config: ExperimentConfig
     version: str
     result: object
-    wall_time_s: Optional[float] = None
-
-
-def format_float(x: float) -> str:
-    """17-significant-digit decimal form that always reads back as a float."""
-    return _format_floats((x,))[0]
+    wall_time_s: float | None = None
 
 
 def _format_floats(values) -> list[str]:
-    """format_float of each value, all formatted by one %-format call."""
+    """17-significant-digit decimal form of each value, which always reads back as a float.
+
+    All values are formatted by one %-format call.
+    """
     texts = (("%.17g\n" * len(values)) % tuple(values)).split("\n")
     texts.pop()
     return [t if "." in t or "e" in t else _integral_float(t) for t in texts]
@@ -219,67 +199,3 @@ def _csv_bytes(payload) -> bytes:
     cells = [";".join(t) if isinstance(t, list) else t
              for t in _texts(list(fields.values()), _csv_scalar)]
     return (",".join(fields) + "\n" + ",".join(cells) + "\n").encode("utf-8")
-
-
-def _coerce(value, annotation):
-    origin = typing.get_origin(annotation)
-    if origin is typing.Union:  # Optional[...]
-        args = [a for a in typing.get_args(annotation) if a is not type(None)]
-        if value is None or value == "":
-            return None
-        return _coerce(value, args[0])
-    if origin is tuple:
-        element = typing.get_args(annotation)[0]
-        if isinstance(value, str):
-            parts = [p for p in value.split(";") if p != ""]
-            return tuple(_coerce(p, element) for p in parts)
-        return tuple(_coerce(v, element) for v in value)
-    if annotation is int:
-        return int(value)
-    if annotation is float:
-        return float(value)
-    if annotation is str:
-        return str(value)
-    raise TypeError(f"unsupported field annotation {annotation!r}")
-
-
-def _payload_from_mapping(payload_type: type, mapping: dict):
-    hints = typing.get_type_hints(payload_type)
-    kwargs = {}
-    for f in dataclasses.fields(payload_type):
-        if f.name not in mapping:
-            raise ValueError(f"missing field {f.name!r} for {payload_type.__name__}")
-        kwargs[f.name] = _coerce(mapping[f.name], hints[f.name])
-    return payload_type(**kwargs)
-
-
-def parse_report(data: bytes, output_format: str, payload_type: Optional[type] = None):
-    """Inverse of emit_report.
-
-    JSON input reconstructs the full ExperimentReport (wall time unknown);
-    CSV input carries only the payload row, so the payload type must be
-    supplied and the payload instance is returned.
-    """
-    if output_format == "json":
-        envelope = json.loads(data.decode("utf-8"))
-        experiment = envelope["config"]["experiment"]
-        ptype = PAYLOAD_TYPES[experiment]
-        config = ExperimentConfig(
-            experiment=experiment,
-            parameters=dict(envelope["config"]["parameters"]),
-            seed=int(envelope["config"]["seed"]),
-        )
-        result = _payload_from_mapping(ptype, envelope["result"])
-        return ExperimentReport(config, str(envelope["version"]), result, None)
-    if output_format == "csv":
-        if payload_type is None:
-            raise ValueError("CSV parsing requires the payload type")
-        lines = data.decode("utf-8").split("\n")
-        if len(lines) < 2:
-            raise ValueError("CSV report must have a header row and a data row")
-        names = lines[0].split(",")
-        cells = lines[1].split(",")
-        if len(names) != len(cells):
-            raise ValueError("CSV header and data row differ in length")
-        return _payload_from_mapping(payload_type, dict(zip(names, cells)))
-    raise ConfigError(f"unknown output format {output_format!r}")

@@ -1,6 +1,6 @@
 """Pinned deterministic random number generation.
 
-Random states and unitaries draw from a PCG64 stream per seed. Monte Carlo
+Random states draw from a PCG64 stream per seed. Monte Carlo
 trial t reads the fixed block of uniforms at counter offset t * per_trial
 of one Philox stream keyed by the seed (Salmon et al., SC 2011), so a chunk
 of trials is one draw and any trial can be replayed on its own.

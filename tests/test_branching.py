@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import haar_unitary
 from manyworlds import (
+    DIM_CAP,
     BipartiteSplit,
     BranchTree,
     CapacityError,
@@ -20,7 +22,6 @@ from manyworlds import (
     basis_state,
     build_chain_tree,
     haar_random_state,
-    haar_random_unitary,
     interact_and_branch,
     make_state,
     partial_trace,
@@ -218,11 +219,10 @@ class TestInteractAndBranch:
         with pytest.raises(ShapeError, match="not a leaf"):
             tree.attach_ancilla(tree.root_id, basis_state(0, 2))
 
-    def test_leaf_cap_is_loud_and_leaves_tree_intact(self):
+    def test_leaf_cap_is_loud_and_leaves_tree_intact(self, monkeypatch):
+        monkeypatch.setattr(branching, "MAX_LEAVES", 2)
         amps = np.sqrt([0.5, 0.3, 0.2]).astype(complex)
-        tree = BranchTree(
-            tensor(make_state(amps, [3]), basis_state(0, 3)), max_leaves=2
-        )
+        tree = BranchTree(tensor(make_state(amps, [3]), basis_state(0, 3)))
         with pytest.raises(CapacityError):
             interact_and_branch(
                 tree, tree.root_id, premeasurement_unitary(3, 3), BipartiteSplit(3, 3)
@@ -237,7 +237,7 @@ class TestInteractAndBranch:
         for level in range(3):
             next_frontier = []
             for leaf in frontier:
-                u = haar_random_unitary(4, 1000 * seed + 10 * level + leaf)
+                u = UnitaryOperator(haar_unitary(4, 1000 * seed + 10 * level + leaf), 4)
                 kids = interact_and_branch(tree, leaf, u, BipartiteSplit(2, 2))
                 next_frontier.extend(kids or [leaf])
             frontier = next_frontier
@@ -250,7 +250,7 @@ class TestInteractAndBranch:
         for level in range(3):
             next_frontier = []
             for leaf in frontier:
-                u = haar_random_unitary(4, 77 * level + leaf)
+                u = UnitaryOperator(haar_unitary(4, 77 * level + leaf), 4)
                 kids = interact_and_branch(tree, leaf, u, BipartiteSplit(2, 2))
                 next_frontier.extend(kids or [leaf])
             frontier = next_frontier
@@ -293,7 +293,7 @@ class TestTreeBookkeeping:
             leaves = tree.leaf_ids()
             leaf = leaves[pick % len(leaves)]
             dim = tree.node(leaf).state.dim
-            rotate = UnitaryOperator(haar_random_unitary(2, seed).entries, dim)
+            rotate = UnitaryOperator(haar_unitary(2, seed), dim)
             interact_and_branch(tree, leaf, rotate, BipartiteSplit(2, dim // 2))
             self.check(tree)
             tree.attach_ancilla(leaf, basis_state(0, 2))
@@ -362,18 +362,22 @@ class TestRescaledEntropyTrace:
             rescaled_entropy_trace(tree, 99)
 
 
+def ledger_totals(ledger):
+    return [r.total_entropy for r in ledger]
+
+
 class TestChainProtocol:
     def test_definite_object_never_grows_entropy(self):
         ledger = run_chain_protocol(2, 5, amplitudes=[1, 0], seed=4)
-        assert all(t == 0.0 for t in ledger.total_entropies())
+        assert all(t == 0.0 for t in ledger_totals(ledger))
 
     def test_single_device_equal_superposition_gives_ln2(self):
         ledger = run_chain_protocol(2, 1, amplitudes=[1, 1], seed=4)
-        assert abs(ledger.total_entropies()[-1] - LN2) < 1e-12
+        assert abs(ledger_totals(ledger)[-1] - LN2) < 1e-12
 
     def test_five_devices_match_hand_accumulated_formula(self):
         ledger = run_chain_protocol(2, 5, amplitudes=[1, 1], seed=4)
-        totals = ledger.total_entropies()
+        totals = ledger_totals(ledger)
         expected = [0.0]
         acc, weight = 0.0, 1.0
         for _ in range(5):
@@ -386,7 +390,7 @@ class TestChainProtocol:
     def test_entropy_never_decreases(self):
         for seed in range(10):
             ledger = run_chain_protocol(3, 3, amplitudes=None, seed=seed)
-            totals = ledger.total_entropies()
+            totals = ledger_totals(ledger)
             assert all(b >= a - 1e-12 for a, b in zip(totals, totals[1:]))
 
     def test_every_branch_trace_starts_at_zero(self):
@@ -398,7 +402,7 @@ class TestChainProtocol:
     def test_tiny_branch_weight_survives_pairing(self):
         # the second branch weight, ~5.3e-10, lies within the degeneracy gap
         # of the zero coefficients the decomposition discards
-        totals = run_chain_protocol(2, 3, amplitudes=[1, 2.3e-5]).total_entropies()
+        totals = ledger_totals(run_chain_protocol(2, 3, amplitudes=[1, 2.3e-5]))
         assert len(totals) == 7
         assert all(b >= a for a, b in zip(totals, totals[1:]))
         assert totals[-1] > 0.0
@@ -407,12 +411,18 @@ class TestChainProtocol:
         a = run_chain_protocol(2, 3, amplitudes=None, seed=11)
         b = run_chain_protocol(2, 3, amplitudes=None, seed=11)
         c = run_chain_protocol(2, 3, amplitudes=None, seed=12)
-        assert a.total_entropies() == b.total_entropies()
-        assert a.total_entropies() != c.total_entropies()
+        assert ledger_totals(a) == ledger_totals(b)
+        assert ledger_totals(a) != ledger_totals(c)
 
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
             run_chain_protocol(2, 14, amplitudes=[1, 1], seed=0)
+
+    @pytest.mark.parametrize("object_dim", [DIM_CAP + 1, 10**4000], ids=["cap+1", "1e4000"])
+    def test_oversized_object_refused_without_the_power(self, object_dim):
+        # the power would have millions of digits; the message names none of them
+        with pytest.raises(CapacityError, match="exceeds the dimension cap"):
+            run_chain_protocol(object_dim, branching.CHAIN_DEVICES_CAP)
 
 
 def _peak_bytes(fn, *args):

@@ -164,6 +164,13 @@ class TestPolarizerChain:
         with pytest.raises(ValueError):
             polarizer_chain(-1)
 
+    @pytest.mark.parametrize("k", [10**4, 10**5, 2**18])
+    def test_long_chains_pass_their_self_check(self, k):
+        # rounding in the product of k + 1 squared amplitudes grows with k;
+        # a fixed 1e-12 tolerance refused all three
+        want = math.cos(math.pi / (2 * (k + 1))) ** (2 * (k + 1))
+        assert abs(polarizer_chain(k).transmission_probability - want) < 1e-9
+
 
 class TestRandomProjectionChain:
     def test_zero_projectors_reduce_to_overlap_statistic(self):

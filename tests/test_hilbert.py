@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import haar_unitary
 from manyworlds import (
     BipartiteSplit,
     CapacityError,
@@ -16,10 +16,8 @@ from manyworlds import (
     UnitaryOperator,
     apply_unitary,
     basis_state,
-    density_of,
     eig_hermitian,
     haar_random_state,
-    haar_random_unitary,
     make_state,
     partial_trace,
     tensor,
@@ -219,7 +217,7 @@ class TestApplyUnitary:
     @pytest.mark.parametrize("seed", range(100))
     def test_norm_preserved_for_haar_unitaries(self, seed):
         dim = 3 + seed % 14
-        u = haar_random_unitary(dim, seed)
+        u = UnitaryOperator(haar_unitary(dim, seed), dim)
         psi = haar_random_state(dim, seed + 7)
         out = apply_unitary(u, psi)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < EPS_NORM
@@ -242,22 +240,28 @@ class TestApplyUnitary:
             UnitaryOperator(np.eye(4), 6)
 
 
+def projector(psi):
+    """|psi><psi| as a DensityMatrix, which checks it on construction."""
+    a = psi.amplitudes
+    return DensityMatrix(np.outer(a, a.conj()), psi.dim)
+
+
 class TestDensityOf:
     def test_ground_projector(self):
-        rho = density_of(basis_state(0, 2))
+        rho = projector(basis_state(0, 2))
         assert np.allclose(rho.entries, [[1, 0], [0, 0]])
 
     def test_plus_projector(self):
-        rho = density_of(make_state([1, 1], [2]))
+        rho = projector(make_state([1, 1], [2]))
         assert np.allclose(rho.entries, 0.5 * np.ones((2, 2)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_purity(self, seed):
-        rho = density_of(haar_random_state(9, seed))
+        rho = projector(haar_random_state(9, seed))
         assert abs(np.trace(rho.entries @ rho.entries).real - 1.0) < 1e-10
 
     def test_idempotent(self):
-        rho = density_of(haar_random_state(12, 31))
+        rho = projector(haar_random_state(12, 31))
         assert np.max(np.abs(rho.entries @ rho.entries - rho.entries)) < 1e-10
 
 
@@ -386,23 +390,6 @@ class TestHaarRandomState:
         )
         tolerance = 5 * math.sqrt(1 / 12 / n)
         assert abs(samples.mean() - 0.5) < tolerance
-
-
-class TestHaarRandomUnitary:
-    def test_zero_dim_rejected(self):
-        with pytest.raises(ShapeError):
-            haar_random_unitary(0, 1)
-
-    def test_dimension_cap_before_the_draw(self):
-        # past the cap the draw would be two 16385^2 Gaussian matrices, ~8 GB
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError):
-                haar_random_unitary(DIM_CAP + 1, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
 
 
 class TestInvariantSweep:

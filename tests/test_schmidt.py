@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import haar_unitary
 from manyworlds import (
     BipartiteSplit,
     ShapeError,
@@ -13,7 +14,6 @@ from manyworlds import (
     eig_hermitian,
     entanglement_entropy,
     haar_random_state,
-    haar_random_unitary,
     make_state,
     partial_trace,
     reconstruct,
@@ -85,7 +85,7 @@ class TestDecompose:
 
     def test_tall_degenerate_split_follows_eigenbasis_convention(self):
         split = BipartiteSplit(256, 2)
-        u = haar_random_unitary(256, 5).entries
+        u = haar_unitary(256, 5)
         psi = make_state(np.kron(u[:, 0], [1, 0]) + np.kron(u[:, 1], [0, 1]), [256, 2])
         dec = schmidt_decompose(psi, split)
         assert np.allclose(dec.lambdas, [0.5, 0.5], rtol=0.0, atol=1e-12)
@@ -96,8 +96,8 @@ class TestDecompose:
         # the two 3e-10 coefficients lie within the degeneracy gap of zero;
         # they form a cluster of their own, apart from the discarded null space
         lambdas = np.array([1 - 6e-10, 3e-10, 3e-10])
-        left = haar_random_unitary(4, 21).entries[:, :3]
-        right = haar_random_unitary(4, 22).entries[:, :3]
+        left = haar_unitary(4, 21)[:, :3]
+        right = haar_unitary(4, 22)[:, :3]
         psi = make_state(((left * np.sqrt(lambdas)) @ right.T).reshape(-1), [4, 4])
         dec = schmidt_decompose(psi, BipartiteSplit(4, 4))
         assert dec.rank == 3
@@ -240,8 +240,8 @@ class TestInvariances:
         psi = haar_random_state(24, seed)
         split = BipartiteSplit(4, 6)
         u = np.kron(
-            haar_random_unitary(4, seed + 100).entries,
-            haar_random_unitary(6, seed + 200).entries,
+            haar_unitary(4, seed + 100),
+            haar_unitary(6, seed + 200),
         )
         moved = make_state(u @ psi.amplitudes, [4, 6])
         base = schmidt_decompose(psi, split)
@@ -257,8 +257,8 @@ class TestInvariances:
     def test_lambdas_invariant_under_local_unitaries(self, case):
         seed, m = case
         d_left, d_right = m.shape
-        moved = (haar_random_unitary(d_left, seed).entries @ m
-                 @ haar_random_unitary(d_right, seed + 1).entries.T)
+        moved = (haar_unitary(d_left, seed) @ m
+                 @ haar_unitary(d_right, seed + 1).T)
         split = BipartiteSplit(d_left, d_right)
         base = schmidt_decompose(make_state(m.reshape(-1), [d_left, d_right]), split)
         other = schmidt_decompose(make_state(moved.reshape(-1), [d_left, d_right]), split)
