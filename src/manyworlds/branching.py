@@ -35,6 +35,9 @@ from .schmidt import entanglement_entropy, schmidt_decompose
 MAX_LEAVES = 4096          # most leaves one tree may hold
 CHAIN_DEVICES_CAP = 1024   # most devices of one chain; at dim 1 no dimension cap bounds it
 
+_UNIT_FACTOR = np.ones((1, 1), dtype=np.complex128)  # the trivial factor of a pure gather
+_UNIT_FACTOR.flags.writeable = False                  # so every operator can share it
+
 
 class PointerOverflowError(ValueError):
     """The measuring device has too few pointer states for the outcomes."""
@@ -171,7 +174,9 @@ def _conditional_shift(n_outcomes: int, middle_dim: int, device_dim: int) -> Uni
     obj = idx // (middle_dim * device_dim)
     dev = idx % device_dim
     # (U a)[(o, m, d)] = a[(o, m, (d - o) mod device_dim)]
-    return UnitaryOperator(np.eye(1), total, perm=idx - dev + (dev - obj) % device_dim)
+    perm = idx - dev + (dev - obj) % device_dim
+    perm.flags.writeable = False  # made here, so UnitaryOperator keeps it rather than a copy
+    return UnitaryOperator(_UNIT_FACTOR, total, perm=perm)
 
 
 def interact_and_branch(

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import __version__
 from .branching import BranchTree, interact_and_branch, premeasurement_unitary, run_chain_protocol
 from .experiments import (
@@ -30,7 +28,9 @@ from .experiments import (
     random_projection_chain,
     world_count,
 )
-from .hilbert import BipartiteSplit, CapacityError, basis_state, haar_random_state, tensor
+from .hilbert import (
+    BipartiteSplit, CapacityError, _norm, basis_state, haar_random_state, tensor,
+)
 from .reporting import (
     BranchReport,
     ChainReport,
@@ -94,7 +94,7 @@ def _run_schmidt(p: dict, seed: int):
         lambdas=tuple(dec.lambdas.tolist()),
         entanglement_entropy=entanglement_entropy(dec),
         spectra_gap=spectra_gap(psi, dec),
-        reconstruction_error=float(np.linalg.norm(reconstruct(dec).amplitudes - psi.amplitudes)),
+        reconstruction_error=float(_norm(reconstruct(dec).amplitudes - psi.amplitudes)),
     )
 
 
@@ -168,7 +168,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
         "overlap",
         (
             Param("dim", int, minimum=1, help="Hilbert-space dimension"),
-            Param("trials", int, default=100_000, minimum=1, help="Monte Carlo trials"),
+            Param("trials", int, default=100_000, help="Monte Carlo trials"),
         ),
         lambda p, seed: overlap_statistics(p["dim"], p["trials"], seed),
         help="mean squared overlap of random state pairs",
@@ -184,7 +184,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
         (
             Param("dim", int, minimum=2, help="Hilbert-space dimension"),
             Param("k", int, minimum=0, help="intermediate projector count"),
-            Param("trials", int, default=100_000, minimum=1, help="Monte Carlo trials"),
+            Param("trials", int, default=100_000, help="Monte Carlo trials"),
         ),
         lambda p, seed: random_projection_chain(p["dim"], p["k"], p["trials"], seed),
         help="random projection chain transmission",
@@ -208,8 +208,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
             Param("depth", int, minimum=0, help="number of mutation steps"),
             Param("mode", str, choices=("single-history", "full-branching"),
                   help="walk mode"),
-            Param("trials", int, default=100_000, minimum=1,
-                  help="trials (single-history mode)"),
+            Param("trials", int, default=100_000, help="trials (single-history mode)"),
         ),
         lambda p, seed: evolution_walk(p["depth"], p["mode"], seed, p["trials"]),
         help="complexity random walk with reflecting barrier",

@@ -45,10 +45,10 @@ class CapacityError(RuntimeError):
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(map(int, dims))
     if not out:
         raise ShapeError("dims must name at least one subsystem")
-    if any(d < 1 for d in out):
+    if min(out) < 1:
         raise ShapeError(f"subsystem dimensions must be >= 1, got {out}")
     total = math.prod(out)
     if total > DIM_CAP:
@@ -76,8 +76,8 @@ class StateVector:
 
     def __post_init__(self):
         amps, dims = _checked_amplitudes(self.amplitudes, self.dims)
-        _check_unit_norm(np.linalg.norm(amps))
         amps = amps.copy()
+        _check_unit_norm(_norm(amps))
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -86,6 +86,21 @@ class StateVector:
     def dim(self) -> int:
         """Total Hilbert-space dimension."""
         return self.amplitudes.size
+
+
+def _norm(amps: np.ndarray):
+    """np.linalg.norm of a contiguous complex vector, bit for bit, without its dispatch.
+
+    This is numpy's own formula for that case. Where the sum of squares
+    can overflow, the caller enters np.errstate itself.
+    """
+    re, im = amps.real, amps.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
+def _column_norms(mat: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(mat, axis=0) of a complex matrix, bit for bit: numpy's own formula."""
+    return np.sqrt(np.add.reduce((mat.conj() * mat).real, axis=0))
 
 
 def _check_unit_norm(norm) -> None:
@@ -102,7 +117,7 @@ def _fresh_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
     complex vector that fills them, so only the unit norm is checked. `amps`
     is frozen in place rather than copied.
     """
-    _check_unit_norm(np.linalg.norm(amps))
+    _check_unit_norm(_norm(amps))
     amps.flags.writeable = False
     return _wrap_state(amps, dims)
 
@@ -191,6 +206,8 @@ class UnitaryOperator:
     dim matrix. A dense operator is k = dim without a gather; a permutation is
     k = 1 with one. U†U = I is checked within EPS_EIG (max-entry deviation) on
     L alone, and `perm` must hold every index of range(dim) exactly once.
+    Both arrays are kept read-only; one that is already read-only and owns
+    its data is shared rather than copied.
     """
 
     entries: np.ndarray
@@ -198,29 +215,47 @@ class UnitaryOperator:
     perm: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=np.complex128)
+        mat = _read_only(self.entries, np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeError(f"unitary factor must be square, got shape {mat.shape}")
         k = mat.shape[0]
         if k < 1 or self.dim < 1 or self.dim % k:
             raise ShapeError(f"factor size {k} does not divide declared dim {self.dim}")
         with np.errstate(invalid="ignore"):  # an inf entry makes it NaN, refused below
-            dev = np.abs(mat.conj().T @ mat - np.eye(k)).max()
+            dev = _gram_deviation(mat)
         if not dev <= EPS_EIG:
             raise ShapeError(f"operator is not unitary (max |U†U - I| = {dev:.3e})")
-        mat = mat.copy()
-        mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
         if self.perm is not None:
-            perm = np.array(self.perm, dtype=np.intp)
+            perm = _read_only(self.perm, np.intp)
             if perm.shape != (self.dim,):
                 raise ShapeError(f"gather of shape {perm.shape} does not fit dim {self.dim}")
             if perm.min() < 0 or perm.max() >= self.dim or not (
                 np.bincount(perm, minlength=self.dim) == 1
             ).all():
                 raise ShapeError("gather must hold every basis index exactly once")
-            perm.flags.writeable = False
             object.__setattr__(self, "perm", perm)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """`values` as a read-only array of `dtype`.
+
+    A caller's writeable array, or a view of one, is copied. An array that
+    the conversion has just made, or one that is already read-only and owns
+    its data, is frozen or kept as it is.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    if arr is values and (arr.flags.writeable or arr.base is not None):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _gram_deviation(mat: np.ndarray):
+    """Max-entry deviation of mat†mat from the identity; no identity matrix is formed."""
+    gram = mat.conj().T @ mat
+    gram.reshape(-1)[:: gram.shape[0] + 1] -= 1.0
+    return np.abs(gram).max()
 
 
 def make_state(amplitudes, dims) -> StateVector:
@@ -230,18 +265,19 @@ def make_state(amplitudes, dims) -> StateVector:
     when the amplitude count does not match the product of dims. A finite
     vector whose norm under- or overflows is scaled by its largest part first.
     """
-    return _normalized_state(*_checked_amplitudes(amplitudes, dims))
-
-
-def _normalized_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
-    """_fresh_state of amps / |amps|, for a complex vector that fills checked dims."""
+    amps, dims = _checked_amplitudes(amplitudes, dims)
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rescaled below
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
     if not 0.0 < norm < math.inf and np.isfinite(amps).all() and amps.any():
         # real divisions: unlike a modulus or a complex division, none overflows
         scale = np.maximum(np.abs(amps.real), np.abs(amps.imag)).max()
         amps = amps.real / scale + 1j * (amps.imag / scale)
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
+    return _normalized_state(amps, norm, dims)
+
+
+def _normalized_state(amps: np.ndarray, norm, dims: tuple[int, ...]) -> StateVector:
+    """_fresh_state of amps / norm, for a complex vector that fills checked dims."""
     if not 0.0 < norm < math.inf:
         raise DegenerateStateError(f"degenerate state: amplitude norm {norm}")
     return _fresh_state(amps / norm, dims)
@@ -251,9 +287,10 @@ def basis_state(index: int, dim: int) -> StateVector:
     """Computational basis vector |index> of the given dimension."""
     if not 0 <= index < dim:
         raise ShapeError(f"basis index {index} outside [0, {dim})")
+    dims = _check_dims((dim,))
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(amps, (dim,))
+    return _fresh_state(amps, dims)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -322,19 +359,21 @@ def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray
     significant = np.abs(vectors) > 1e-9
     rows = significant.argmax(axis=0)  # first significant row, or 0 if there is none
     cols = np.arange(vectors.shape[1])
-    cols = cols[significant[rows, cols]]
-    pivots = vectors[rows[cols], cols]
+    has_pivot = significant[rows, cols]
+    # unit columns always have a pivot; then all are scaled through a view
+    picked = slice(None) if has_pivot.all() else cols[has_pivot]
+    pivots = vectors[rows[picked], cols[picked]]
     factors = pivots.conj() / np.hypot(pivots.real, pivots.imag)
     # each factor broadcast down its column, as in `column * factor`: a
     # (1, 1) product with the factors along the last axis rounds differently
-    vectors[:, cols] = (vectors[:, cols].T * factors[:, None]).T
+    vectors[:, picked] = (vectors[:, picked].T * factors[:, None]).T
     return vectors
 
 
 def _degenerate_clusters(descending: np.ndarray) -> list[tuple[int, int]]:
     """Index ranges [lo, hi) of two or more eigenvalues linked by gaps < DEGENERACY_GAP."""
-    # the gap descending[i] - descending[i + 1] is exactly -diff[i]
-    linked = np.diff(descending) > -DEGENERACY_GAP
+    # descending[i + 1] - descending[i] is minus the gap exactly (np.diff's formula)
+    linked = descending[1:] - descending[:-1] > -DEGENERACY_GAP
     if not linked.any():
         return []
     edges = [0, *(np.flatnonzero(~linked) + 1).tolist(), descending.size]
@@ -358,13 +397,13 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
         cand = coords[j].copy()
         for u in chosen:
             cand -= u * np.vdot(u, cand)
-        nrm = np.linalg.norm(cand)
+        nrm = _norm(cand)
         if nrm <= 1e-7:
             continue
         cand /= nrm
         for u in chosen:  # second pass keeps orthogonality near machine precision
             cand -= u * np.vdot(u, cand)
-        cand /= np.linalg.norm(cand)
+        cand /= _norm(cand)
         chosen.append(cand)
         if len(chosen) == k:
             return vectors @ np.column_stack(chosen)
@@ -377,5 +416,7 @@ def haar_random_state(dim: int, seed: int) -> StateVector:
     The same seed always reproduces the same state bit for bit.
     """
     dims = _check_dims((dim,))
-    return _normalized_state(gaussian_amplitudes(rng_from_seed(seed), dim), dims)
+    amps = gaussian_amplitudes(rng_from_seed(seed), dim)
+    # finite Gaussian draws, so unlike make_state's input the norm cannot overflow
+    return _normalized_state(amps, _norm(amps), dims)
 

@@ -16,6 +16,7 @@ is written field by field with all of its floats formatted in one pass.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
@@ -143,14 +144,13 @@ def _json_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _json_object(mapping: dict, pad: str) -> str:
-    """A flat mapping as a JSON object with sorted keys, closed at indent `pad`."""
-    if not mapping:
+def _json_object(keys, values: list, pad: str) -> str:
+    """Flat values under their sorted keys as a JSON object, closed at indent `pad`."""
+    if not keys:
         return "{}"
-    keys = sorted(mapping)
     inner = pad + "  "
     items = []
-    for key, text in zip(keys, _texts([mapping[k] for k in keys], _json_scalar)):
+    for key, text in zip(keys, _texts(values, _json_scalar)):
         if isinstance(text, list):
             text = ("[\n" + inner + "  " + (",\n" + inner + "  ").join(text)
                     + "\n" + inner + "]") if text else "[]"
@@ -158,22 +158,29 @@ def _json_object(mapping: dict, pad: str) -> str:
     return "{\n" + ",\n".join(items) + "\n" + pad + "}"
 
 
-def _payload_dict(payload) -> dict:
-    return {f.name: getattr(payload, f.name) for f in dataclasses.fields(payload)}
+@functools.cache
+def _field_names(payload_type: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A payload class's field names in declaration order and sorted, found once per class."""
+    names = tuple(f.name for f in dataclasses.fields(payload_type))
+    return names, tuple(sorted(names))
 
 
 def emit_report(report: ExperimentReport, output_format: str) -> bytes:
     """Serialize a report. JSON carries the config echo, CSV the payload row."""
     if output_format == "json":
-        config = report.config
+        config, result = report.config, report.result
+        param_keys = sorted(config.parameters)
+        params = _json_object(param_keys, [config.parameters[k] for k in param_keys], "    ")
+        result_keys = _field_names(type(result))[1]
+        payload = _json_object(result_keys, [getattr(result, k) for k in result_keys], "  ")
         return (
             "{\n"
             '  "config": {\n'
             f'    "experiment": {_json_scalar(config.experiment)},\n'
-            f'    "parameters": {_json_object(config.parameters, "    ")},\n'
+            f'    "parameters": {params},\n'
             f'    "seed": {_json_scalar(config.seed)}\n'
             "  },\n"
-            f'  "result": {_json_object(_payload_dict(report.result), "  ")},\n'
+            f'  "result": {payload},\n'
             f'  "version": {_json_scalar(report.version)}\n'
             "}\n"
         ).encode("utf-8")
@@ -195,7 +202,7 @@ def _csv_scalar(value) -> str:
 
 
 def _csv_bytes(payload) -> bytes:
-    fields = _payload_dict(payload)
+    names = _field_names(type(payload))[0]
     cells = [";".join(t) if isinstance(t, list) else t
-             for t in _texts(list(fields.values()), _csv_scalar)]
-    return (",".join(fields) + "\n" + ",".join(cells) + "\n").encode("utf-8")
+             for t in _texts([getattr(payload, n) for n in names], _csv_scalar)]
+    return (",".join(names) + "\n" + ",".join(cells) + "\n").encode("utf-8")

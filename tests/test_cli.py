@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manyworlds import DIM_CAP, cli
+from manyworlds import DIM_CAP, cli, schmidt
 from manyworlds.branching import CHAIN_DEVICES_CAP
 from manyworlds.cli import main, parse_config
 from manyworlds.experiments import (
@@ -322,6 +322,25 @@ class TestExitCodes:
         assert main(["overlap", "--dim", "4", "--trials", "0", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["overlap", "--dim", "4"],
+        ["zeno-random", "--dim", "2", "--k", "1"],
+        ["evolve", "--depth", "5", "--mode", "single-history"],
+    ], ids=["overlap", "zeno-random", "evolve-single-history"])
+    def test_zero_trials_is_two_where_trials_are_drawn(self, tmp_path, capsys, args):
+        out = tmp_path / "never.json"
+        assert main(args + ["--trials", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: need at least one trial, got 0"]
+        assert not out.exists()
+
+    def test_full_branching_ignores_trials(self, tmp_path, capsys):
+        # the full-branching walk is exact and never reads the trial count
+        out = tmp_path / "walk.json"
+        assert main(["evolve", "--depth", "5", "--mode", "full-branching", "--trials", "0",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["result"]["branch_count"] == 32
+
 
 class TestOutputs:
     def test_worlds_default_json(self, tmp_path, capsys):
@@ -381,21 +400,46 @@ class TestOutputs:
         assert result["reconstruction_error"] < 1e-10
         assert abs(sum(result["lambdas"]) - 1.0) < 1e-10
 
+    @staticmethod
+    def count_factorizations(monkeypatch) -> dict:
+        """Record the argument shape of every SVD, eigvalsh and reconstruction formed."""
+        calls = {"svd": [], "eigvalsh": [], "reconstruction": []}
+
+        def record(key, module, name, shape_of):
+            fn = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[key].append(shape_of(args[0], result))
+                return result
+
+            monkeypatch.setattr(module, name, counting)
+
+        record("svd", np.linalg, "svd", lambda a, result: a.shape)
+        record("eigvalsh", np.linalg, "eigvalsh", lambda a, result: a.shape)
+        record("reconstruction", schmidt, "_reconstruction_amplitudes",
+               lambda a, result: result.shape)
+        return calls
+
     @pytest.mark.parametrize("d_left,d_right", [(2, 2), (4, 6), (8, 3)])
     def test_schmidt_run_factors_once(self, tmp_path, monkeypatch, capsys, d_left, d_right):
-        # the report's spectrum, gap and reconstruction all come from one SVD
-        calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        # the report's spectrum and reconstruction come from one SVD, each
+        # formed once; the gap takes one eigensolve of the smaller side
+        calls = self.count_factorizations(monkeypatch)
         out = tmp_path / "s.json"
         assert main(["schmidt", "--d-left", str(d_left), "--d-right", str(d_right),
                      "--out", str(out)]) == 0
-        assert calls == [(d_left, d_right)]
+        smaller = min(d_left, d_right)
+        assert calls == {"svd": [(d_left, d_right)], "eigvalsh": [(smaller, smaller)],
+                         "reconstruction": [(d_left * d_right,)]}
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_branch_run_factors_once(self, tmp_path, monkeypatch, capsys, dim):
+        calls = self.count_factorizations(monkeypatch)
+        out = tmp_path / "b.json"
+        assert main(["branch", "--dim", str(dim), "--out", str(out)]) == 0
+        assert calls == {"svd": [(dim, dim)], "eigvalsh": [],
+                         "reconstruction": [(dim * dim,)]}
 
 
 class TestRunsAtDimensionCap:

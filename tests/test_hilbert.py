@@ -31,8 +31,10 @@ from manyworlds.hilbert import (
     EPS_RANK,
     _canonical_cluster_basis,
     _canonical_eigenbasis,
+    _column_norms,
     _degenerate_clusters,
     _fresh_states,
+    _norm,
 )
 from manyworlds.schmidt import DecompositionError, SchmidtDecomposition
 
@@ -238,6 +240,18 @@ class TestApplyUnitary:
     def test_factor_must_divide_dim(self):
         with pytest.raises(ShapeError, match="divide"):
             UnitaryOperator(np.eye(4), 6)
+
+    def test_caller_arrays_are_copied_frozen_ones_shared(self):
+        factor, gather = np.eye(2, dtype=complex), np.array([1, 0, 3, 2])
+        u = UnitaryOperator(factor, 4, perm=gather)
+        factor[0, 0], gather[0] = 5.0, 3
+        assert u.entries[0, 0] == 1.0 and u.perm[0] == 1
+        assert not u.entries.flags.writeable and not u.perm.flags.writeable
+        frozen = np.array([1, 0, 3, 2])
+        frozen.flags.writeable = False
+        assert UnitaryOperator(np.eye(1), 4, perm=frozen).perm is frozen
+        view = frozen[:]  # read-only, but a view of another array: copied
+        assert UnitaryOperator(np.eye(1), 4, perm=view).perm is not view
 
 
 def projector(psi):
@@ -511,3 +525,28 @@ class TestBulkCanonicalization:
         before = vectors.copy()
         _canonical_eigenbasis(np.array([0.6, 0.4]), vectors)
         assert same_bits(vectors, before)
+
+
+@st.composite
+def scaled_columns(draw):
+    """A complex (n, k) matrix whose entries have magnitudes spread over 1e-150 to 1e150."""
+    n, k = draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-150, 150, size=(2, n, k))
+    return rng.standard_normal((n, k)) * scale[0] + 1j * rng.standard_normal((n, k)) * scale[1]
+
+
+class TestNormHelpers:
+    """The private norms give np.linalg.norm's bits, for vectors and for axis-0 columns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=scaled_columns())
+    def test_vector_norm_matches_numpy(self, m):
+        for col in m.T.copy():  # contiguous complex vectors
+            ours, theirs = _norm(col), np.linalg.norm(col)
+            assert type(ours) is type(theirs) and same_bits(ours, theirs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=scaled_columns())
+    def test_column_norms_match_numpy(self, m):
+        assert same_bits(_column_norms(m), np.linalg.norm(m, axis=0))

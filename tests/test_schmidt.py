@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary
 from manyworlds import (
+    EPS_RANK,
     BipartiteSplit,
+    DecompositionError,
+    SchmidtDecomposition,
     ShapeError,
     basis_state,
     eig_hermitian,
@@ -21,6 +24,8 @@ from manyworlds import (
     spectra_gap,
     tensor,
 )
+from manyworlds import schmidt
+from manyworlds.cli import main
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -274,3 +279,75 @@ class TestInvariances:
         swapped = schmidt_decompose(make_state(m.T.reshape(-1), [d_right, d_left]),
                                     BipartiteSplit(d_right, d_left))
         assert padded_gap(base.lambdas, swapped.lambdas) < 1e-10
+
+
+def _threshold_entry(u, s, vh):
+    # the third coefficient sits at EPS_RANK while the fourth stays above it,
+    # so the kept prefix is descending and ends in an entry at the threshold
+    s[2] = math.sqrt(EPS_RANK)
+    while s[2] ** 2 > EPS_RANK:
+        s[2] = np.nextafter(s[2], 0.0)
+    s[3] = 1e-4
+    return u, s, vh
+
+
+def _rotated_left(u, s, vh):
+    # still orthonormal, but no longer the state's singular basis: the
+    # paired right vectors come out skewed
+    c, t = math.cos(0.3), math.sin(0.3)
+    u[:, :2] = u[:, :2] @ np.array([[c, -t], [t, c]])
+    return u, s, vh
+
+
+# Each row corrupts one output of the SVD that schmidt_decompose takes, so
+# that exactly one check of its fresh decomposition path has to catch it.
+CORRUPT_SVD = {
+    "left-not-orthonormal": (lambda u, s, vh: (u * 1.5, s, vh), "left vectors not orthonormal"),
+    "right-not-orthonormal": (_rotated_left, "right vectors not orthonormal"),
+    "unsorted": (lambda u, s, vh: (u, s[::-1].copy(), vh), "sorted descending"),
+    "sum-not-one": (lambda u, s, vh: (u, s * 1.01, vh), "sum to"),
+    "entry-at-threshold": (_threshold_entry, "at or below the zero threshold"),
+}
+
+
+class TestFreshDecompositionChecks:
+    """schmidt_decompose builds its result without the copying constructor; every check still fires."""
+
+    @pytest.fixture(params=sorted(CORRUPT_SVD))
+    def corrupted(self, request, monkeypatch):
+        corrupt, message = CORRUPT_SVD[request.param]
+        svd = np.linalg.svd
+
+        def corrupt_svd(*args, **kwargs):
+            u, s, vh = svd(*args, **kwargs)
+            return corrupt(u.copy(), s.copy(), vh)
+
+        monkeypatch.setattr(schmidt.np.linalg, "svd", corrupt_svd)
+        return message
+
+    def test_library_raises(self, corrupted):
+        with pytest.raises(DecompositionError, match=corrupted):
+            schmidt_decompose(haar_random_state(24, 3), BipartiteSplit(4, 6))
+
+    def test_cli_exits_five(self, corrupted, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert main(["schmidt", "--d-left", "4", "--d-right", "6", "--seed", "3",
+                     "--out", str(out)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: numerical self-check failed: ")
+        assert corrupted in err[0]
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=ranked_matrices())
+    def test_every_result_passes_the_validating_constructor(self, case):
+        _, m = case
+        d_left, d_right = m.shape
+        split = BipartiteSplit(d_left, d_right)
+        dec = schmidt_decompose(make_state(m.reshape(-1), [d_left, d_right]), split)
+        checked = SchmidtDecomposition(dec.lambdas, dec.left_vectors, dec.right_vectors, split)
+        for name in ("lambdas", "left_vectors", "right_vectors"):
+            ours, theirs = getattr(dec, name), getattr(checked, name)
+            assert not ours.flags.writeable and not theirs.flags.writeable
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(reconstruct(dec).amplitudes, reconstruct(checked).amplitudes)
