@@ -3,16 +3,16 @@
 Four drivers: uniform-random overlap statistics, the polarizer chain and its
 random-projection counterpart, world-count order-of-magnitude estimates, and
 complexity random walks with a reflecting barrier at zero. Trial t reads its
-own block of the seed's trial stream (see `rng`), so chunks of trials are
-drawn and evaluated at once and reports do not depend on the chunking.
+own block of the seed's trial stream (see `rng`), read in chunks of trials or
+in column pieces of one long row, and reports do not depend on the chunking.
 
 The random-state drivers never build a state: each overlap along a chain
 of uniformly random states is drawn from its exact law, Beta(1, N - 1)
-independent of the states before it, one uniform per overlap. One trial's
-block is capped at TRIAL_BLOCK_CAP uniforms, a run at TRIALS_CAP trials,
-the exact full-branching walk at FULL_BRANCHING_DEPTH_CAP steps and the
-polarizer chain at POLARIZER_K_CAP lenses; larger runs raise CapacityError
-before anything is drawn or summed.
+independent of the states before it, one uniform per overlap. A Monte
+Carlo run is capped at UNIFORMS_CAP drawn uniforms, the exact full-branching
+walk at FULL_BRANCHING_DEPTH_CAP steps and the polarizer chain at
+POLARIZER_K_CAP lenses; larger runs raise CapacityError before anything is
+drawn or summed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .hilbert import CapacityError, _check_dims
 DEFAULT_UNIVERSE_AGE_S = 4.35e17
 DEFAULT_PLANCK_TIME_S = 5.39e-44
 
-TRIAL_BLOCK_CAP = 2**24           # most uniforms one trial may read (128 MiB of float64)
-TRIALS_CAP = 2**26                # most trials of one run; each keeps ~16 B (1 GiB in all)
+UNIFORMS_CAP = 2**28              # most uniforms one run draws, trials x padded block; 6-11 s
 # The reported branch count 2**depth must print within Python's default limit
 # of 4300 decimal digits; at this depth the O(depth^2) big-int sums take ~0.04 s.
 FULL_BRANCHING_DEPTH_CAP = 14_284
@@ -86,33 +85,27 @@ class ComplexityReport:
     branch_count: Optional[int] = None  # full-branching mode
 
 
-def _mean_and_std_error(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(samples))
-    if samples.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(samples, ddof=1) / math.sqrt(samples.size))
-
-
 def _trial_blocks(seed: int, trials: int, uniforms: int):
-    """Each trial's row of uniforms, in chunks of at most rng.TRIAL_CHUNK uniforms.
+    """(first trial, column pieces of the first `uniforms` of its rows) per chunk.
 
-    The chunks are drawn in sequence from one generator: a chunk spans whole
-    4-word Philox blocks, so chunk c starts exactly where
-    rng.trial_uniforms(seed, first_c, ...) would.
+    Pieces hold at most rng.TRIAL_CHUNK uniforms (a multiple of 4), so a longer row
+    is a chunk of one trial. All is drawn in turn from one generator, so chunk c
+    starts where rng.trial_uniforms(seed, first_c, ...) would: read pieces in order.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if trials > TRIALS_CAP:
-        raise CapacityError(f"{trials} trials exceed the cap {TRIALS_CAP}")
-    if uniforms > TRIAL_BLOCK_CAP:
-        raise CapacityError(
-            f"one trial needs {uniforms} uniforms, above the cap {TRIAL_BLOCK_CAP}"
-        )
     per_trial = 4 * max(1, -(-uniforms // 4))
-    chunk = max(1, rng.TRIAL_CHUNK // per_trial)
+    if trials * per_trial > UNIFORMS_CAP:
+        raise CapacityError(
+            f"{trials} trials of {per_trial} uniforms exceed the cap {UNIFORMS_CAP}")
+    rows = max(1, rng.TRIAL_CHUNK // per_trial)
     stream = rng.trial_rng(seed, 0, per_trial)
-    return (stream.random((min(chunk, trials - first), per_trial))
-            for first in range(0, trials, chunk))
+
+    def pieces(n):
+        for col in range(0, uniforms, rng.TRIAL_CHUNK):
+            yield stream.random((n, min(rng.TRIAL_CHUNK, per_trial - col)))[:, :uniforms - col]
+
+    return ((first, pieces(min(rows, trials - first))) for first in range(0, trials, rows))
 
 
 def _chain_transmissions(dim: int, k: int, trials: int, seed: int) -> np.ndarray:
@@ -125,13 +118,16 @@ def _chain_transmissions(dim: int, k: int, trials: int, seed: int) -> np.ndarray
     trial's block, and at N = 1 it is exactly 1.
     """
     _check_dims((dim,))
-    probs = []
-    for u in _trial_blocks(seed, trials, k + 1):
-        if dim == 1:
-            probs.append(np.ones(len(u)))
-        else:
-            probs.append(np.prod(-np.expm1(np.log1p(-u[:, :k + 1]) / (dim - 1)), axis=1))
-    return np.concatenate(probs)
+    blocks = _trial_blocks(seed, trials, k + 1)  # checks the cap before probs exists
+    probs = np.empty(trials)
+    for first, pieces in blocks:
+        prob = 1.0
+        for u in pieces:
+            overlaps = np.ones_like(u) if dim == 1 else -np.expm1(np.log1p(-u) / (dim - 1))
+            overlaps[:, 0] *= prob  # multiply-reduce is sequential: one product's bits
+            prob = np.prod(overlaps, axis=1)
+        probs[first:first + len(prob)] = prob
+    return probs
 
 
 def overlap_statistics(dim: int, trials: int, seed: int) -> OverlapReport:
@@ -141,8 +137,9 @@ def overlap_statistics(dim: int, trials: int, seed: int) -> OverlapReport:
     complex space the squared overlap follows Beta(1, N-1), so the mean
     tends to 1/N.
     """
-    mean, err = _mean_and_std_error(_chain_transmissions(dim, 0, trials, seed))
-    return OverlapReport(dim, trials, mean, err, seed)
+    probs = _chain_transmissions(dim, 0, trials, seed)
+    err = float(np.std(probs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return OverlapReport(dim, trials, float(np.mean(probs)), err, seed)
 
 
 def polarizer_chain(k: int) -> ZenoReport:
@@ -188,7 +185,7 @@ def random_projection_chain(dim: int, k: int, trials: int, seed: int) -> ZenoRep
         raise ValueError(f"dimension must be >= 2, got {dim}")
     if k < 0:
         raise ValueError(f"intermediate projector count must be >= 0, got {k}")
-    mean, _ = _mean_and_std_error(_chain_transmissions(dim, k, trials, seed))
+    mean = float(np.mean(_chain_transmissions(dim, k, trials, seed)))
     return ZenoReport(k, mean, "random-projection", trials=trials, seed=seed)
 
 
@@ -222,9 +219,9 @@ def evolution_walk(
     branch always reaches complexity = depth; its statistics are exact, as
     comb(depth, (depth + c + 1) // 2) histories end at complexity c. In
     "single-history" mode one seeded trajectory is followed per trial and
-    statistics are taken over trials. Full-branching depths above
-    FULL_BRANCHING_DEPTH_CAP, and single-history depths above
-    TRIAL_BLOCK_CAP or trials above TRIALS_CAP, raise CapacityError.
+    statistics are taken over trials, each carrying its position and running
+    minimum across the pieces of its row. Full-branching depths above
+    FULL_BRANCHING_DEPTH_CAP, and runs above UNIFORMS_CAP, raise CapacityError.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -245,17 +242,20 @@ def evolution_walk(
             branch_count=2**depth,
         )
     if mode == "single-history":
-        finals = []
-        for u in _trial_blocks(seed, trials, depth):
-            walk = np.zeros((len(u), depth + 1), dtype=np.int64)  # W_0 = 0
-            np.cumsum(np.where(u[:, :depth] >= 0.5, 1, -1), axis=1, out=walk[:, 1:])
-            finals.append(walk[:, -1] - walk.min(axis=1))  # Skorokhod map
-        finals = np.concatenate(finals)
+        total = top = 0
+        for _, pieces in _trial_blocks(seed, trials, depth):
+            walk, low = np.zeros((1, 1), dtype=np.int64), 0  # W_0 = 0
+            for u in pieces:
+                walk = walk[:, -1:] + np.cumsum(np.where(u >= 0.5, 1, -1), axis=1)
+                low = np.minimum(low, walk.min(axis=1))
+            finals = walk[:, -1] - low  # Skorokhod map
+            total += int(finals.sum())
+            top = max(top, int(finals.max()))
         return ComplexityReport(
             depth=depth,
             mode=mode,
-            max_complexity=int(finals.max()),
-            mean_final_complexity=float(finals.mean(dtype=np.float64)),
+            max_complexity=top,
+            mean_final_complexity=total / trials,  # an exact sum below 2**53: a float64 mean
             branch_count=None,
         )
     raise ValueError(f"unknown walk mode {mode!r}")

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 import typing
@@ -16,8 +19,7 @@ from manyworlds.cli import main, parse_config
 from manyworlds.experiments import (
     FULL_BRANCHING_DEPTH_CAP,
     POLARIZER_K_CAP,
-    TRIAL_BLOCK_CAP,
-    TRIALS_CAP,
+    UNIFORMS_CAP,
     ComplexityReport,
     OverlapReport,
     WorldCountReport,
@@ -212,39 +214,39 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: total dimension")
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [
-        ["zeno-random", "--dim", "2", "--k", str(TRIAL_BLOCK_CAP)],  # k + 1 = cap + 1
-        ["evolve", "--mode", "single-history", "--depth", str(TRIAL_BLOCK_CAP + 1)],
-    ])
-    def test_trial_block_cap_is_four(self, tmp_path, capsys, args):
-        out = tmp_path / "never.json"
-        assert main(args + ["--trials", "1", "--out", str(out)]) == 4
-        assert capsys.readouterr().err == (
-            f"error: one trial needs {TRIAL_BLOCK_CAP + 1} uniforms, "
-            f"above the cap {TRIAL_BLOCK_CAP}\n"
-        )
-        assert not out.exists()
-
-    @pytest.mark.parametrize("args", [
-        ["overlap", "--dim", "2"],
-        ["zeno-random", "--dim", "2", "--k", "0"],
-        ["evolve", "--mode", "single-history", "--depth", "1"],
-    ])
-    def test_trials_cap_is_four(self, tmp_path, capsys, args):
-        # refused before anything is drawn: the run would keep ~16 B per trial
+    @pytest.mark.parametrize("args,trials,per_trial", [
+        (["overlap", "--dim", "2"], UNIFORMS_CAP // 4 + 1, 4),
+        (["zeno-random", "--dim", "2", "--k", "0"], UNIFORMS_CAP // 4 + 1, 4),
+        (["zeno-random", "--dim", "2", "--k", str(UNIFORMS_CAP)], 1, UNIFORMS_CAP + 4),
+        (["evolve", "--mode", "single-history", "--depth", "16"], UNIFORMS_CAP // 16 + 1, 16),
+        (["evolve", "--mode", "single-history", "--depth", str(UNIFORMS_CAP + 1)],
+         1, UNIFORMS_CAP + 4),
+    ], ids=["overlap-trials", "zeno-random-trials", "zeno-random-row", "evolve-trials",
+            "evolve-row"])
+    def test_uniforms_cap_is_four(self, tmp_path, capsys, args, trials, per_trial):
+        # the smallest runs above the cap, by many trials or by one long row,
+        # are refused before anything is drawn or allocated
         out = tmp_path / "never.json"
         tracemalloc.start()
         try:
-            code = main(args + ["--trials", str(TRIALS_CAP + 1), "--out", str(out)])
+            code = main(args + ["--trials", str(trials), "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 4
         assert capsys.readouterr().err == (
-            f"error: {TRIALS_CAP + 1} trials exceed the cap {TRIALS_CAP}\n"
+            f"error: {trials} trials of {per_trial} uniforms exceed the cap {UNIFORMS_CAP}\n"
         )
         assert peak < 2**20
         assert not out.exists()
+
+    def test_row_above_one_chunk_runs_in_pieces(self, tmp_path, capsys):
+        # 2**24 + 4 uniforms in one row, folded piece by piece in O(TRIAL_CHUNK) memory
+        out = tmp_path / "walk.json"
+        assert main(["evolve", "--mode", "single-history", "--depth", str(2**24 + 4),
+                     "--trials", "1", "--out", str(out)]) == 0
+        result = json.loads(out.read_bytes())["result"]
+        assert result["mean_final_complexity"] == result["max_complexity"] <= 2**24 + 4
 
     def test_full_branching_depth_cap_is_four(self, tmp_path, capsys):
         out = tmp_path / "never.json"
@@ -472,6 +474,61 @@ class TestRunsAtDimensionCap:
         assert result["n_branches"] == len(result["weights"]) == 128
         assert abs(math.fsum(result["weights"]) - 1.0) < 1e-10
         assert abs(result["total_entropy"] - math.fsum(result["branch_entropies"])) < 1e-10
+
+
+def _limit_address_space():
+    # runs in the child only: what a cap admits must fit an 8 GB machine
+    resource.setrlimit(resource.RLIMIT_AS, (8 * 2**30, 8 * 2**30))
+
+
+def _run_limited(args, out):
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "manyworlds", *args, "--out", str(out)],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          timeout=600)
+    return proc, time.perf_counter() - started
+
+
+# One row per cap the CLI can reach: the run at the edge, the run just above it,
+# and the edge's wall budget in seconds (about 4x its time on a 2-vCPU machine,
+# start-up included). UNIFORMS_CAP runs on its slowest subcommand, the walk at one
+# Philox block a trial: 2**26 trials in about 11 s.
+CAP_EDGES = {
+    "DIM_CAP": (["schmidt", "--d-left", str(DIM_CAP), "--d-right", "1"],
+                ["schmidt", "--d-left", str(DIM_CAP + 1), "--d-right", "1"], 5),
+    "CHAIN_DEVICES_CAP": (["chain", "--dim", "1", "--devices", str(CHAIN_DEVICES_CAP)],
+                          ["chain", "--dim", "1", "--devices", str(CHAIN_DEVICES_CAP + 1)], 5),
+    "POLARIZER_K_CAP": (["zeno", "--k", str(POLARIZER_K_CAP)],
+                        ["zeno", "--k", str(POLARIZER_K_CAP + 1)], 16),
+    "FULL_BRANCHING_DEPTH_CAP": (
+        ["evolve", "--mode", "full-branching", "--depth", str(FULL_BRANCHING_DEPTH_CAP)],
+        ["evolve", "--mode", "full-branching", "--depth", str(FULL_BRANCHING_DEPTH_CAP + 1)], 5),
+    "UNIFORMS_CAP": (
+        ["evolve", "--mode", "single-history", "--depth", "4", "--trials", str(UNIFORMS_CAP // 4)],
+        ["evolve", "--mode", "single-history", "--depth", "4",
+         "--trials", str(UNIFORMS_CAP // 4 + 1)], 45),
+}
+
+
+@pytest.mark.parametrize("cap", CAP_EDGES)
+class TestCapEdges:
+    """Each cap's edge finishes under 8 GiB of address space; cap + 1 exits 4 at once."""
+
+    def test_edge_finishes_within_budget(self, tmp_path, cap):
+        args, _, budget = CAP_EDGES[cap]
+        proc, wall = _run_limited(args, tmp_path / "edge.json")
+        assert proc.returncode == 0, proc.stderr
+        assert wall < budget
+        assert json.loads((tmp_path / "edge.json").read_bytes())["config"]["experiment"] == args[0]
+
+    def test_cap_plus_one_is_four_within_a_second(self, tmp_path, cap):
+        _, args, _ = CAP_EDGES[cap]
+        proc, wall = _run_limited(args, tmp_path / "never.json")
+        assert proc.returncode == 4
+        assert wall < 1.0
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "cap" in err[0]
+        assert not (tmp_path / "never.json").exists()
 
 
 PAYLOADS = [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,27 +339,48 @@ class TestTrialStream:
         # advanced to each chunk's first trial does, here over 300 chunks
         seed, per_trial = 2**63 - 1, 4 * -(-uniforms // 4)
         monkeypatch.setattr(rng, "TRIAL_CHUNK", 3 * per_trial)
-        chunks = list(_trial_blocks(seed, 900, uniforms))
+        chunks = [(first, np.hstack(list(pieces)))
+                  for first, pieces in _trial_blocks(seed, 900, uniforms)]
         assert len(chunks) == 300
-        for c, block in enumerate(chunks):
-            assert np.array_equal(block, rng.trial_uniforms(seed, 3 * c, 3, per_trial))
+        for c, (first, block) in enumerate(chunks):
+            assert first == 3 * c
+            want = rng.trial_uniforms(seed, 3 * c, 3, per_trial)[:, :uniforms]
+            assert np.array_equal(block, want)
+
+    @pytest.mark.parametrize("uniforms", [9, 37, 40])
+    def test_long_rows_come_in_column_pieces(self, monkeypatch, uniforms):
+        # a row longer than the chunk is one trial's row, drawn piece after piece
+        seed, per_trial = 7, 4 * -(-uniforms // 4)
+        monkeypatch.setattr(rng, "TRIAL_CHUNK", 8)
+        for first, pieces in _trial_blocks(seed, 5, uniforms):
+            pieces = list(pieces)
+            assert [p.shape[1] for p in pieces[:-1]] == [8] * (len(pieces) - 1)
+            assert all(p.shape[0] == 1 and 1 <= p.shape[1] <= 8 for p in pieces)
+            want = rng.trial_uniforms(seed, first, 1, per_trial)[:, :uniforms]
+            assert np.array_equal(np.hstack(pieces), want)
 
     def test_reports_do_not_depend_on_chunk_size(self, monkeypatch):
         runs = [
             lambda: overlap_statistics(16, 301, seed=4),
             lambda: overlap_statistics(3, 101, seed=-1),
             lambda: random_projection_chain(8, 3, trials=201, seed=4),
+            lambda: random_projection_chain(2, 9, trials=51, seed=6),  # 3 pieces a row
             lambda: evolution_walk(9, "single-history", seed=4, trials=301),
             lambda: evolution_walk(0, "single-history", seed=4, trials=7),
+            lambda: evolution_walk(13, "single-history", seed=2, trials=101),
         ]
         default = [run() for run in runs]
         monkeypatch.setattr(rng, "TRIAL_CHUNK", 4)
         assert [run() for run in runs] == default
 
-    @pytest.mark.parametrize("dim,k", [(3, 0), (4, 2), (16, 1)])
-    def test_projection_chain_replays_trial_by_trial(self, dim, k):
+    @pytest.mark.parametrize("dim,k,chunk", [
+        (3, 0, None), (4, 2, None), (16, 1, None), (5, 36, None), (4, 2, 8), (5, 36, 8),
+    ], ids=["3-0", "4-2", "16-1", "5-36", "4-2-chunk8", "5-36-chunk8"])
+    def test_projection_chain_replays_trial_by_trial(self, monkeypatch, dim, k, chunk):
         # trial t's overlaps are the Beta(1, N - 1) inverse CDF of the first
-        # k + 1 uniforms of its own block
+        # k + 1 uniforms of its own block, however its row is cut into pieces
+        if chunk:
+            monkeypatch.setattr(rng, "TRIAL_CHUNK", chunk)
         trials, seed = 200, 5
         per_trial = 4 * -(-(k + 1) // 4)
         got = _chain_transmissions(dim, k, trials, seed)
@@ -384,8 +406,12 @@ class TestTrialStream:
         want = (2 / (dim * (dim + 1))) ** 2
         assert abs(p_sq.mean() - want) < 5 * p_sq.std(ddof=1) / math.sqrt(trials)
 
-    @pytest.mark.parametrize("depth", [0, 1, 4, 7, 10])
-    def test_single_history_replays_step_by_step(self, depth):
+    @pytest.mark.parametrize("depth,chunk", [
+        (0, None), (1, None), (4, None), (7, None), (10, None), (37, None), (10, 8), (37, 8),
+    ], ids=["0", "1", "4", "7", "10", "37", "10-chunk8", "37-chunk8"])
+    def test_single_history_replays_step_by_step(self, monkeypatch, depth, chunk):
+        if chunk:
+            monkeypatch.setattr(rng, "TRIAL_CHUNK", chunk)
         trials, seed = 300, 11
         per_trial = 4 * max(1, -(-depth // 4))
         finals = []
@@ -397,3 +423,29 @@ class TestTrialStream:
         report = evolution_walk(depth, "single-history", seed=seed, trials=trials)
         assert report.max_complexity == max(finals)
         assert report.mean_final_complexity == sum(finals) / trials
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrialMemory:
+    """Walks and long rows fold in O(rng.TRIAL_CHUNK); a chain keeps 8 B per trial."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: evolution_walk(16, "single-history", trials=2**20),
+        lambda: evolution_walk(2**20, "single-history", trials=1),
+        lambda: random_projection_chain(2, 2**20, trials=1, seed=0),
+    ], ids=["walk-many-trials", "walk-long-row", "chain-long-row"])
+    def test_folds_in_bounded_memory(self, run):
+        assert _peak_bytes(run) < 2 * 2**20
+
+    def test_overlap_keeps_one_float_per_trial(self):
+        # the per-trial floats and the spread's temporary, nothing per chunk
+        trials = 2**20
+        assert _peak_bytes(overlap_statistics, 2, trials, 0) <= 16 * trials + 2**20
