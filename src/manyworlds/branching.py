@@ -44,39 +44,24 @@ class PointerOverflowError(ValueError):
 
 
 class LedgerRecord(NamedTuple):
+    """One ledger step: the total entropy and its per-leaf decomposition.
+
+    ``branch_entropies`` holds one term per current leaf, computed from the
+    leaf's cumulative weight, so the total is their sum at every record.
+    """
+
     step: int
     total_entropy: float
     branch_entropies: tuple[float, ...]
 
 
 @dataclass
-class EntropyLedger:
-    """Per-step record of the total entropy and its branch decomposition.
-
-    ``branch_entropies`` holds one term per current leaf, computed from the
-    leaf's cumulative weight, so the total is their sum at every record.
-    """
-
-    records: list[LedgerRecord] = field(default_factory=list)
-
-    def append(self, step: int, total: float, branch_entropies: tuple[float, ...]) -> None:
-        self.records.append(LedgerRecord(step, total, branch_entropies))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-class _BranchEvent(NamedTuple):
-    step: int
-    rescaled_entropy: float
-
-
-@dataclass
 class BranchNode:
-    """One world line: weight, factorized post-branching state, entropies."""
+    """One world line: weight, factorized post-branching state, entropies.
+
+    ``history`` holds (step, entropy accumulated within the branch since its
+    birth) per interaction, opening with (birth_step, 0.0).
+    """
 
     id: int
     parent_id: Optional[int]
@@ -84,10 +69,9 @@ class BranchNode:
     cumulative_weight: float   # product of weights from the root
     state: StateVector
     relative_entropy: float    # -weight * ln(weight)
-    rescaled_entropy: float    # entropy accumulated since birth; 0 at birth
     birth_step: int
     children: list[int] = field(default_factory=list)
-    history: list[_BranchEvent] = field(default_factory=list)
+    history: list[tuple[int, float]] = field(default_factory=list)
 
 
 def _weight_entropy(w: float) -> float:
@@ -108,12 +92,11 @@ class BranchTree:
             cumulative_weight=1.0,
             state=root_state,
             relative_entropy=0.0,
-            rescaled_entropy=0.0,
             birth_step=0,
-            history=[_BranchEvent(0, 0.0)],
+            history=[(0, 0.0)],
         )
         self.nodes: dict[int, BranchNode] = {0: root}  # ids are dense; no node is removed
-        self.ledger = EntropyLedger()
+        self.ledger: list[LedgerRecord] = []
         self._record_ledger()
 
     def node(self, node_id: int) -> BranchNode:
@@ -140,12 +123,12 @@ class BranchTree:
         entropies = tuple(
             _weight_entropy(self.nodes[nid].cumulative_weight) for nid in self.leaf_ids()
         )
-        self.ledger.append(self.step_counter, math.fsum(entropies), entropies)
+        self.ledger.append(LedgerRecord(self.step_counter, math.fsum(entropies), entropies))
 
 
 def total_entropy(tree: BranchTree) -> float:
     """Entropy -sum w ln w of the current leaf weights, in nats: the latest ledger total."""
-    return tree.ledger.records[-1].total_entropy
+    return tree.ledger[-1].total_entropy
 
 
 def premeasurement_unitary(n_outcomes: int, device_dim: int) -> UnitaryOperator:
@@ -220,17 +203,14 @@ def interact_and_branch(
                 cumulative_weight=node.cumulative_weight * weight,
                 state=child_state,
                 relative_entropy=_weight_entropy(weight),
-                rescaled_entropy=0.0,
                 birth_step=step,
-                history=[_BranchEvent(step, 0.0)],
+                history=[(step, 0.0)],
             )
             for n, (weight, child_state) in enumerate(zip(dec.lambdas.tolist(), child_states))
         ]
 
-    within_branch = entanglement_entropy(dec)
+    node.history.append((step, entanglement_entropy(dec)))
     node.state = new_state
-    node.rescaled_entropy = within_branch
-    node.history.append(_BranchEvent(step, within_branch))
     node.children = [child.id for child in children]
     tree.nodes.update((child.id, child) for child in children)
     tree.step_counter = step
@@ -241,11 +221,11 @@ def interact_and_branch(
 def rescaled_entropy_trace(tree: BranchTree, node_id: int) -> list[tuple[int, float]]:
     """Entropy accumulated within one branch since its birth, step by step.
 
-    The trace starts at exactly zero at the branch's birth step, because
-    every history opens with a zero event; each later entry carries the
-    entropy computed across the split of the interaction that produced it.
+    A copy of the node's (step, entropy) history: it starts at exactly zero
+    at the branch's birth step, and each later entry carries the entropy
+    computed across the split of the interaction that produced it.
     """
-    return [(event.step, event.rescaled_entropy) for event in tree.node(node_id).history]
+    return list(tree.node(node_id).history)
 
 
 def _preparation_unitary(amplitudes: np.ndarray) -> np.ndarray:
@@ -327,6 +307,6 @@ def run_chain_protocol(
     n_devices: int,
     amplitudes=None,
     seed: int = 0,
-) -> EntropyLedger:
+) -> list[LedgerRecord]:
     """Entropy ledger of the device-chain protocol; see build_chain_tree."""
     return build_chain_tree(object_dim, n_devices, amplitudes, seed).ledger

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 invalid configuration, 3 unreadable or unwritable
 file, 4 resource cap exceeded or out of memory, 5 numerical self-check
 failed (a decomposition or the polarizer chain missed its own tolerance).
 Every error prints one `error:` line on stderr. Flags override config-file
-values; all validation happens before any computation starts.
+values, which override defaults. Parameter values are validated by the
+library alone, each rule by the constructor or driver that owns it, and
+those checks still run before any computation starts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
-from .branching import BranchTree, interact_and_branch, premeasurement_unitary, run_chain_protocol
+from .branching import (BranchTree, interact_and_branch, premeasurement_unitary,
+                        run_chain_protocol, total_entropy)
 from .experiments import (
     DEFAULT_PLANCK_TIME_S,
     DEFAULT_UNIVERSE_AGE_S,
@@ -57,21 +60,20 @@ class Param:
     name: str
     convert: type
     default: object = _REQUIRED
-    minimum: Optional[float] = None
-    choices: Optional[tuple[str, ...]] = None
+    choices: Optional[tuple[str, ...]] = None  # the flag's choices; the library checks values
     help: str = ""
 
     @property
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
 
-    def validate(self, value) -> None:
-        if self.minimum is not None and not value >= self.minimum:
-            raise ConfigError(f"{self.name} must be >= {self.minimum}, got {value}")
-        if self.choices is not None and value not in self.choices:
-            raise ConfigError(
-                f"{self.name} must be one of {', '.join(self.choices)}, got {value!r}"
-            )
+
+# Shared by every subcommand; parse_config moves them out of the parameters.
+COMMON_PARAMS = (
+    Param("seed", int, default=0, help="64-bit experiment seed"),
+    Param("format", str, default="json", choices=("json", "csv"), help="output format"),
+    Param("out", str, default=None, help="output file (default: stdout)"),
+)
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,8 @@ def _run_schmidt(p: dict, seed: int):
 
 def _run_branch(p: dict, seed: int):
     dim = p["dim"]
+    if dim < 2:
+        raise ConfigError(f"dim must be >= 2, got {dim}")
     obj = haar_random_state(dim, seed)
     tree = BranchTree(tensor(obj, basis_state(0, dim)))
     children = interact_and_branch(
@@ -112,7 +116,7 @@ def _run_branch(p: dict, seed: int):
         n_branches=len(nodes),
         weights=tuple(n.weight for n in nodes),
         branch_entropies=tuple(n.relative_entropy for n in nodes),
-        total_entropy=tree.ledger.records[-1].total_entropy,
+        total_entropy=total_entropy(tree),
     )
 
 
@@ -125,7 +129,7 @@ def _run_chain(p: dict, seed: int):
         seed=seed,
         entropy_steps=steps,
         final_entropy=steps[-1],
-        leaf_count=len(ledger.records[-1].branch_entropies),
+        leaf_count=len(ledger[-1].branch_entropies),
     )
 
 
@@ -143,23 +147,23 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     Experiment(
         "schmidt",
         (
-            Param("d_left", int, minimum=1, help="left factor dimension"),
-            Param("d_right", int, minimum=1, help="right factor dimension"),
+            Param("d_left", int, help="left factor dimension"),
+            Param("d_right", int, help="right factor dimension"),
         ),
         _run_schmidt,
         help="decompose a seeded random bipartite state",
     ),
     Experiment(
         "branch",
-        (Param("dim", int, minimum=2, help="object dimension"),),
+        (Param("dim", int, help="object dimension"),),
         _run_branch,
         help="one premeasurement branching of a seeded random object",
     ),
     Experiment(
         "chain",
         (
-            Param("dim", int, minimum=1, help="object dimension"),
-            Param("devices", int, default=5, minimum=1, help="number of fresh devices"),
+            Param("dim", int, help="object dimension"),
+            Param("devices", int, default=5, help="number of fresh devices"),
         ),
         _run_chain,
         help="device-chain protocol entropy ledger",
@@ -167,7 +171,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     Experiment(
         "overlap",
         (
-            Param("dim", int, minimum=1, help="Hilbert-space dimension"),
+            Param("dim", int, help="Hilbert-space dimension"),
             Param("trials", int, default=100_000, help="Monte Carlo trials"),
         ),
         lambda p, seed: overlap_statistics(p["dim"], p["trials"], seed),
@@ -175,15 +179,15 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     ),
     Experiment(
         "zeno",
-        (Param("k", int, minimum=0, help="intermediate lens count"),),
+        (Param("k", int, help="intermediate lens count"),),
         lambda p, seed: polarizer_chain(p["k"]),
         help="deterministic polarizer chain transmission",
     ),
     Experiment(
         "zeno-random",
         (
-            Param("dim", int, minimum=2, help="Hilbert-space dimension"),
-            Param("k", int, minimum=0, help="intermediate projector count"),
+            Param("dim", int, help="Hilbert-space dimension"),
+            Param("k", int, help="intermediate projector count"),
             Param("trials", int, default=100_000, help="Monte Carlo trials"),
         ),
         lambda p, seed: random_projection_chain(p["dim"], p["k"], p["trials"], seed),
@@ -192,9 +196,9 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     Experiment(
         "worlds",
         (
-            Param("universe_age_s", float, default=DEFAULT_UNIVERSE_AGE_S, minimum=0.0,
+            Param("universe_age_s", float, default=DEFAULT_UNIVERSE_AGE_S,
                   help="age of the universe in seconds"),
-            Param("planck_time_s", float, default=DEFAULT_PLANCK_TIME_S, minimum=0.0,
+            Param("planck_time_s", float, default=DEFAULT_PLANCK_TIME_S,
                   help="elementary time step in seconds"),
             Param("model", str, default="linear", choices=("linear", "exponential"),
                   help="growth model"),
@@ -205,7 +209,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     Experiment(
         "evolve",
         (
-            Param("depth", int, minimum=0, help="number of mutation steps"),
+            Param("depth", int, help="number of mutation steps"),
             Param("mode", str, choices=("single-history", "full-branching"),
                   help="walk mode"),
             Param("trials", int, default=100_000, help="trials (single-history mode)"),
@@ -236,16 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="experiment", required=True)
     for exp in EXPERIMENTS.values():
         sub = subparsers.add_parser(exp.name, help=exp.help)
-        for param in exp.params:
-            kwargs: dict = {"type": param.convert, "default": None, "help": param.help}
-            if param.choices is not None:
-                kwargs["choices"] = param.choices
-            sub.add_argument(param.flag, dest=param.name, **kwargs)
-        sub.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
-        sub.add_argument("--format", dest="output_format", default=None,
-                         choices=("json", "csv"), help="output format")
-        sub.add_argument("--out", dest="output_path", default=None,
-                         help="output file (default: stdout)")
+        for param in exp.params + COMMON_PARAMS:
+            sub.add_argument(param.flag, dest=param.name, type=param.convert, default=None,
+                             choices=param.choices, help=param.help)
         sub.add_argument("--config", dest="config_file", default=None,
                          help="key=value config file; flags take precedence")
     return parser
@@ -254,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -281,12 +278,17 @@ def _convert(param: Param, text: str):
 
 
 def parse_config(argv=None) -> ExperimentConfig:
-    """Parse argv (and an optional config file) into a validated config."""
+    """Parse argv (and an optional config file) into a config.
+
+    Each parameter takes its flag, else its config-file value, else its default;
+    a required parameter given by neither is left out, for run_experiment to refuse.
+    """
     args = build_parser().parse_args(argv)
     exp = EXPERIMENTS[args.experiment]
+    params = exp.params + COMMON_PARAMS
 
     file_values = _load_config_file(args.config_file) if args.config_file else {}
-    known_keys = {p.name for p in exp.params} | {"seed", "format", "out", "experiment"}
+    known_keys = {p.name for p in params} | {"experiment"}
     unknown = sorted(set(file_values) - known_keys)
     if unknown:
         raise ConfigError(
@@ -299,43 +301,36 @@ def parse_config(argv=None) -> ExperimentConfig:
         )
 
     parameters: dict = {}
-    for param in exp.params:
+    for param in params:
         flag_value = getattr(args, param.name)
         if flag_value is not None:
-            value = flag_value
+            parameters[param.name] = flag_value
         elif param.name in file_values:
-            value = _convert(param, file_values[param.name])
+            parameters[param.name] = _convert(param, file_values[param.name])
         elif param.default is not _REQUIRED:
-            value = param.default
-        else:
-            raise ConfigError(f"missing required parameter {param.flag} for {exp.name}")
-        param.validate(value)
-        parameters[param.name] = value
-
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in file_values:
-        seed = _convert(Param("seed", int), file_values["seed"])
-    else:
-        seed = 0
-
-    output_format = args.output_format or file_values.get("format", "json")
-    output_path = args.output_path or file_values.get("out") or None
+            parameters[param.name] = param.default
 
     return ExperimentConfig(
         experiment=exp.name,
+        seed=parameters.pop("seed"),
+        output_format=parameters.pop("format"),
+        output_path=parameters.pop("out") or None,  # --out '' means stdout
         parameters=parameters,
-        seed=seed,
-        output_format=output_format,
-        output_path=output_path,
     )
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run exactly one experiment and write its serialized report."""
+    """Run exactly one experiment and write its serialized report.
+
+    config.parameters must name every parameter of the experiment;
+    parse_config fills in the defaults.
+    """
     exp = EXPERIMENTS.get(config.experiment)
     if exp is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
+    for param in exp.params:
+        if param.name not in config.parameters:
+            raise ConfigError(f"missing required parameter {param.flag} for {exp.name}")
     started = time.perf_counter()
     payload = exp.runner(config.parameters, config.seed)
     report = ExperimentReport(
@@ -356,17 +351,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
+        report = run_experiment(config)
     except SystemExit as exc:  # --help or --version has printed its text
         return exc.code
-    except ConfigFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        report = run_experiment(config)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -376,7 +363,7 @@ def main(argv=None) -> int:
     except (DecompositionError, ArithmeticError) as exc:
         print(f"error: numerical self-check failed: {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:
+    except (ConfigFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -152,7 +152,7 @@ def polarizer_chain(k: int) -> ZenoReport:
     ArithmeticError.
     """
     if k < 0:
-        raise ValueError(f"intermediate lens count must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {k}")
     if k > POLARIZER_K_CAP:
         raise CapacityError(f"{k} lenses exceed the cap {POLARIZER_K_CAP}")
     stages = k + 1
@@ -182,9 +182,9 @@ def random_projection_chain(dim: int, k: int, trials: int, seed: int) -> ZenoRep
     the pairwise overlap statistic.
     """
     if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
+        raise ValueError(f"dim must be >= 2, got {dim}")
     if k < 0:
-        raise ValueError(f"intermediate projector count must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {k}")
     mean = float(np.mean(_chain_transmissions(dim, k, trials, seed)))
     return ZenoReport(k, mean, "random-projection", trials=trials, seed=seed)
 

@@ -66,7 +66,7 @@ class ChainReport:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated description of one experiment run."""
+    """One experiment run; checks its format, and the library its parameters when run."""
 
     experiment: str
     parameters: dict

@@ -97,6 +97,19 @@ class TestParseConfig:
         assert config.parameters == {"dim": 64, "trials": 1000}
         assert config.seed == 9
 
+    def test_common_flags_override_config_file(self, tmp_path):
+        # seed, format and out resolve flag -> file -> default like any parameter,
+        # and --out '' means stdout even over a file's out
+        path = tmp_path / "run.cfg"
+        path.write_text(f"k=1\nseed=9\nformat=csv\nout={tmp_path / 'r.csv'}\n")
+        config = parse_config(["zeno", "--config", str(path)])
+        assert (config.seed, config.output_format, config.output_path) == (
+            9, "csv", str(tmp_path / "r.csv"))
+        config = parse_config(["zeno", "--config", str(path), "--seed", "3",
+                               "--format", "json", "--out", ""])
+        assert (config.seed, config.output_format, config.output_path) == (3, "json", None)
+        assert config.parameters == {"k": 1}
+
     def test_config_file_may_name_matching_experiment(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("experiment=zeno\nk=2\n")
@@ -131,7 +144,7 @@ class TestExitCodes:
         assert "k must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value,message", [
-        ("nan", "error: universe_age_s must be >= 0.0, got nan\n"),
+        ("nan", "error: ages and times must be positive and finite\n"),
         ("inf", "error: ages and times must be positive and finite\n"),
     ], ids=["nan", "inf"])
     def test_non_finite_float_flag_is_two(self, tmp_path, capsys, value, message):
@@ -196,6 +209,13 @@ class TestExitCodes:
 
     def test_unreadable_config_file_is_three(self, tmp_path, capsys):
         assert main(["zeno", "--k", "1", "--config", str(tmp_path / "absent.cfg")]) == 3
+
+    def test_undecodable_config_file_is_three(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"k=1\n\xff\xfe\n")
+        assert main(["zeno", "--config", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read config file {path}: ")
 
     def test_unwritable_output_is_three(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "dir" / "r.json"
@@ -342,6 +362,64 @@ class TestExitCodes:
         assert main(["evolve", "--depth", "5", "--mode", "full-branching", "--trials", "0",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_bytes())["result"]["branch_count"] == 32
+
+
+# Out-of-range or missing inputs, at least one per parameter rule: (experiment,
+# the parameters a library caller passes, the keys the command line takes from a
+# config file rather than from flags). The library owns every rule, so both
+# paths must refuse with the same message.
+REFUSED = {
+    "schmidt-d-left-0": ("schmidt", {"d_left": 0, "d_right": 2}, ()),
+    "schmidt-d-right-0": ("schmidt", {"d_left": 2, "d_right": 0}, ()),
+    "branch-dim-1": ("branch", {"dim": 1}, ()),
+    "branch-dim-0": ("branch", {"dim": 0}, ()),
+    "chain-dim-0": ("chain", {"dim": 0, "devices": 5}, ()),
+    "chain-devices-0": ("chain", {"dim": 2, "devices": 0}, ()),
+    "overlap-dim-0": ("overlap", {"dim": 0, "trials": 10}, ()),
+    "overlap-trials-0": ("overlap", {"dim": 4, "trials": 0}, ()),
+    "overlap-dim-missing": ("overlap", {"trials": 10}, ()),
+    "zeno-k-minus-1": ("zeno", {"k": -1}, ()),
+    "zeno-random-dim-1": ("zeno-random", {"dim": 1, "k": 2, "trials": 10}, ()),
+    "zeno-random-k-minus-1": ("zeno-random", {"dim": 4, "k": -1, "trials": 10}, ()),
+    "zeno-random-trials-0": ("zeno-random", {"dim": 4, "k": 2, "trials": 0}, ()),
+    "worlds-age-0": ("worlds", {"universe_age_s": 0.0, "planck_time_s": 5.39e-44,
+                                "model": "linear"}, ()),
+    "worlds-age-nan": ("worlds", {"universe_age_s": math.nan, "planck_time_s": 5.39e-44,
+                                  "model": "linear"}, ()),
+    "worlds-time-minus-1": ("worlds", {"universe_age_s": 4.35e17, "planck_time_s": -1.0,
+                                       "model": "linear"}, ()),
+    "worlds-age-below-time": ("worlds", {"universe_age_s": 1.0, "planck_time_s": 2.0,
+                                         "model": "linear"}, ()),
+    "worlds-model-bogus": ("worlds", {"universe_age_s": 4.35e17, "planck_time_s": 5.39e-44,
+                                      "model": "bogus"}, ("model",)),
+    "evolve-depth-minus-1": ("evolve", {"depth": -1, "mode": "single-history",
+                                        "trials": 10}, ()),
+    "evolve-mode-bogus": ("evolve", {"depth": 4, "mode": "bogus", "trials": 10}, ("mode",)),
+    "evolve-trials-0": ("evolve", {"depth": 4, "mode": "single-history", "trials": 0}, ()),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_cli_and_library_refuse_alike(tmp_path, capsys, case):
+    experiment, parameters, from_file = REFUSED[case]
+    out = tmp_path / "never.json"
+    with pytest.raises(ValueError) as refused:
+        cli.run_experiment(ExperimentConfig(experiment, parameters, 0, "json", str(out)))
+    assert not out.exists()
+
+    argv = [experiment, "--out", str(out)]
+    for name, value in parameters.items():
+        if name not in from_file:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    if from_file:
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{name}={parameters[name]}\n" for name in from_file))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {refused.value}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestOutputs:
