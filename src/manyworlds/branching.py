@@ -16,11 +16,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .contracts import DIM_CAP, CapacityError, ShapeError
 from .hilbert import (
-    DIM_CAP,
     BipartiteSplit,
-    CapacityError,
-    ShapeError,
     StateVector,
     UnitaryOperator,
     _fresh_states,

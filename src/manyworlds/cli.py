@@ -14,26 +14,17 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
+
+# The numeric layers are reached as attributes of the package, which imports
+# each on first use, so a process loads only the layers its subcommand runs
+# and a later call pays one attribute lookup per layer.
+import manyworlds as _package
 
 from . import __version__
-from .branching import (BranchTree, interact_and_branch, premeasurement_unitary,
-                        run_chain_protocol, total_entropy)
-from .experiments import (
-    DEFAULT_PLANCK_TIME_S,
-    DEFAULT_UNIVERSE_AGE_S,
-    WorldCountConfig,
-    evolution_walk,
-    overlap_statistics,
-    polarizer_chain,
-    random_projection_chain,
-    world_count,
-)
-from .hilbert import (
-    BipartiteSplit, CapacityError, _norm, basis_state, haar_random_state, tensor,
-)
+from .contracts import (DEFAULT_PLANCK_TIME_S, DEFAULT_UNIVERSE_AGE_S, CapacityError,
+                        DecompositionError)
 from .reporting import (
     BranchReport,
     ChainReport,
@@ -42,9 +33,6 @@ from .reporting import (
     ExperimentReport,
     SchmidtReport,
     emit_report,
-)
-from .schmidt import (
-    DecompositionError, entanglement_entropy, reconstruct, schmidt_decompose, spectra_gap,
 )
 
 
@@ -55,8 +43,7 @@ class ConfigFileError(Exception):
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     name: str
     convert: type
     default: object = _REQUIRED
@@ -76,8 +63,7 @@ COMMON_PARAMS = (
 )
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     name: str
     params: tuple[Param, ...]
     runner: Callable[[dict, int], object]
@@ -85,29 +71,33 @@ class Experiment:
 
 
 def _run_schmidt(p: dict, seed: int):
-    split = BipartiteSplit(p["d_left"], p["d_right"])
-    psi = haar_random_state(split.total, seed)
-    dec = schmidt_decompose(psi, split)
+    hilbert, schmidt = _package.hilbert, _package.schmidt
+    split = hilbert.BipartiteSplit(p["d_left"], p["d_right"])
+    psi = hilbert.haar_random_state(split.total, seed)
+    dec = schmidt.schmidt_decompose(psi, split)
     return SchmidtReport(
         d_left=p["d_left"],
         d_right=p["d_right"],
         seed=seed,
         rank=dec.rank,
         lambdas=tuple(dec.lambdas.tolist()),
-        entanglement_entropy=entanglement_entropy(dec),
-        spectra_gap=spectra_gap(psi, dec),
-        reconstruction_error=float(_norm(reconstruct(dec).amplitudes - psi.amplitudes)),
+        entanglement_entropy=schmidt.entanglement_entropy(dec),
+        spectra_gap=schmidt.spectra_gap(psi, dec),
+        reconstruction_error=float(
+            hilbert._norm(schmidt.reconstruct(dec).amplitudes - psi.amplitudes)),
     )
 
 
 def _run_branch(p: dict, seed: int):
+    hilbert, branching = _package.hilbert, _package.branching
     dim = p["dim"]
     if dim < 2:
         raise ConfigError(f"dim must be >= 2, got {dim}")
-    obj = haar_random_state(dim, seed)
-    tree = BranchTree(tensor(obj, basis_state(0, dim)))
-    children = interact_and_branch(
-        tree, tree.root_id, premeasurement_unitary(dim, dim), BipartiteSplit(dim, dim)
+    obj = hilbert.haar_random_state(dim, seed)
+    tree = branching.BranchTree(hilbert.tensor(obj, hilbert.basis_state(0, dim)))
+    children = branching.interact_and_branch(
+        tree, tree.root_id, branching.premeasurement_unitary(dim, dim),
+        hilbert.BipartiteSplit(dim, dim),
     )
     nodes = [tree.node(c) for c in children]
     return BranchReport(
@@ -116,12 +106,13 @@ def _run_branch(p: dict, seed: int):
         n_branches=len(nodes),
         weights=tuple(n.weight for n in nodes),
         branch_entropies=tuple(n.relative_entropy for n in nodes),
-        total_entropy=total_entropy(tree),
+        total_entropy=branching.total_entropy(tree),
     )
 
 
 def _run_chain(p: dict, seed: int):
-    ledger = run_chain_protocol(p["dim"], p["devices"], amplitudes=None, seed=seed)
+    ledger = _package.branching.run_chain_protocol(
+        p["dim"], p["devices"], amplitudes=None, seed=seed)
     steps = tuple(r.total_entropy for r in ledger)
     return ChainReport(
         object_dim=p["dim"],
@@ -134,8 +125,9 @@ def _run_chain(p: dict, seed: int):
 
 
 def _run_worlds(p: dict, seed: int):
-    return world_count(
-        WorldCountConfig(
+    experiments = _package.experiments
+    return experiments.world_count(
+        experiments.WorldCountConfig(
             universe_age_s=p["universe_age_s"],
             planck_time_s=p["planck_time_s"],
             growth_model=p["model"],
@@ -174,13 +166,13 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
             Param("dim", int, help="Hilbert-space dimension"),
             Param("trials", int, default=100_000, help="Monte Carlo trials"),
         ),
-        lambda p, seed: overlap_statistics(p["dim"], p["trials"], seed),
+        lambda p, seed: _package.experiments.overlap_statistics(p["dim"], p["trials"], seed),
         help="mean squared overlap of random state pairs",
     ),
     Experiment(
         "zeno",
         (Param("k", int, help="intermediate lens count"),),
-        lambda p, seed: polarizer_chain(p["k"]),
+        lambda p, seed: _package.experiments.polarizer_chain(p["k"]),
         help="deterministic polarizer chain transmission",
     ),
     Experiment(
@@ -190,7 +182,8 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
             Param("k", int, help="intermediate projector count"),
             Param("trials", int, default=100_000, help="Monte Carlo trials"),
         ),
-        lambda p, seed: random_projection_chain(p["dim"], p["k"], p["trials"], seed),
+        lambda p, seed: _package.experiments.random_projection_chain(
+            p["dim"], p["k"], p["trials"], seed),
         help="random projection chain transmission",
     ),
     Experiment(
@@ -214,7 +207,8 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
                   help="walk mode"),
             Param("trials", int, default=100_000, help="trials (single-history mode)"),
         ),
-        lambda p, seed: evolution_walk(p["depth"], p["mode"], seed, p["trials"]),
+        lambda p, seed: _package.experiments.evolution_walk(
+            p["depth"], p["mode"], seed, p["trials"]),
         help="complexity random walk with reflecting barrier",
     ),
 )}
@@ -277,6 +271,14 @@ def _convert(param: Param, text: str):
         ) from None
 
 
+def _refuse_unknown(exp: Experiment, keys, known: set) -> None:
+    unknown = sorted(map(str, set(keys) - known))
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys for experiment {exp.name!r}: {', '.join(unknown)}"
+        )
+
+
 def parse_config(argv=None) -> ExperimentConfig:
     """Parse argv (and an optional config file) into a config.
 
@@ -288,12 +290,7 @@ def parse_config(argv=None) -> ExperimentConfig:
     params = exp.params + COMMON_PARAMS
 
     file_values = _load_config_file(args.config_file) if args.config_file else {}
-    known_keys = {p.name for p in params} | {"experiment"}
-    unknown = sorted(set(file_values) - known_keys)
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys for experiment {exp.name!r}: {', '.join(unknown)}"
-        )
+    _refuse_unknown(exp, file_values, {p.name for p in params} | {"experiment"})
     if file_values.get("experiment", exp.name) != exp.name:
         raise ConfigError(
             f"config file names experiment {file_values['experiment']!r}, "
@@ -322,17 +319,25 @@ def parse_config(argv=None) -> ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run exactly one experiment and write its serialized report.
 
-    config.parameters must name every parameter of the experiment;
-    parse_config fills in the defaults.
+    config.parameters must name every parameter of the experiment and no
+    other, each with a value of the parameter's exact type (a bool is not an
+    int); parse_config fills in the defaults.
     """
     exp = EXPERIMENTS.get(config.experiment)
     if exp is None:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
+    parameters = config.parameters
     for param in exp.params:
-        if param.name not in config.parameters:
-            raise ConfigError(f"missing required parameter {param.flag} for {exp.name}")
+        value = parameters.get(param.name, _REQUIRED)
+        if type(value) is not param.convert:
+            if value is _REQUIRED:
+                raise ConfigError(f"missing required parameter {param.flag} for {exp.name}")
+            raise ConfigError(f"{param.name} expects {param.convert.__name__}, "
+                              f"got {type(value).__name__} {value!r}")
+    if len(parameters) != len(exp.params):  # all are present, so some key is unknown
+        _refuse_unknown(exp, parameters, {p.name for p in exp.params})
     started = time.perf_counter()
-    payload = exp.runner(config.parameters, config.seed)
+    payload = exp.runner(parameters, config.seed)
     report = ExperimentReport(
         config=config,
         version=__version__,

@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import rng
-from .hilbert import CapacityError, _check_dims
-
-DEFAULT_UNIVERSE_AGE_S = 4.35e17
-DEFAULT_PLANCK_TIME_S = 5.39e-44
+from .contracts import (DEFAULT_PLANCK_TIME_S, DEFAULT_UNIVERSE_AGE_S, CapacityError,
+                        _check_dims)
 
 UNIFORMS_CAP = 2**28              # most uniforms one run draws, trials x padded block; 6-11 s
 # The reported branch count 2**depth must print within Python's default limit
@@ -36,8 +34,7 @@ FULL_BRANCHING_DEPTH_CAP = 14_284
 POLARIZER_K_CAP = 2**20           # most lenses of one polarizer chain; one loop pass per stage
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     hilbert_dim: int
     trials: int
     mean_overlap_sq: float
@@ -45,8 +42,7 @@ class OverlapReport:
     seed: int
 
 
-@dataclass(frozen=True)
-class ZenoReport:
+class ZenoReport(NamedTuple):
     n_intermediate: int
     transmission_probability: float
     mode: str                      # "deterministic-polarizer" | "random-projection"
@@ -69,15 +65,13 @@ class WorldCountConfig:
             raise ValueError(f"unknown growth model {self.growth_model!r}")
 
 
-@dataclass(frozen=True)
-class WorldCountReport:
+class WorldCountReport(NamedTuple):
     log10_ratio: float
     log10_worlds: Optional[float] = None          # linear model
     log10_log10_worlds: Optional[float] = None    # exponential model
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     depth: int
     mode: str                      # "single-history" | "full-branching"
     max_complexity: int

@@ -16,6 +16,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from .contracts import DIM_CAP, CapacityError, ShapeError, _check_dims
 from .rng import gaussian_amplitudes, rng_from_seed
 
 # Numerical tolerances, fixed once for the whole package.
@@ -23,7 +24,6 @@ EPS_NORM = 1e-12    # allowed deviation from unit norm
 EPS_HERM = 1e-12    # allowed Hermiticity / trace deviation
 EPS_EIG = 1e-10     # eigensolve residual and orthonormality tolerance
 EPS_RANK = 1e-10    # spectrum entries at or below this count as exact zeros
-DIM_CAP = 2**14     # hard cap on the total dimension of a state
 
 # Eigenvalues closer than this are treated as one degenerate cluster and get
 # a deterministic basis; see eig_hermitian.
@@ -32,28 +32,8 @@ DEGENERACY_GAP = 1e-9
 Side = Literal["left", "right"]
 
 
-class ShapeError(ValueError):
-    """Array lengths or dimensions inconsistent with the requested operation."""
-
-
 class DegenerateStateError(ValueError):
     """A zero (or numerically zero) vector cannot represent a state."""
-
-
-class CapacityError(RuntimeError):
-    """A hard resource cap (dimension or branch count) would be exceeded."""
-
-
-def _check_dims(dims) -> tuple[int, ...]:
-    out = tuple(map(int, dims))
-    if not out:
-        raise ShapeError("dims must name at least one subsystem")
-    if min(out) < 1:
-        raise ShapeError(f"subsystem dimensions must be >= 1, got {out}")
-    total = math.prod(out)
-    if total > DIM_CAP:
-        raise CapacityError(f"total dimension {total} exceeds the cap {DIM_CAP}")
-    return out
 
 
 def _checked_amplitudes(values, dims) -> tuple[np.ndarray, tuple[int, ...]]:

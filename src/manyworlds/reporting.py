@@ -15,19 +15,18 @@ is written field by field with all of its floats formatted in one pass.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2 at the CLI)."""
 
 
-@dataclass(frozen=True)
-class SchmidtReport:
+class SchmidtReport(NamedTuple):
     """Decomposition diagnostics of one seeded random bipartite state."""
 
     d_left: int
@@ -40,8 +39,7 @@ class SchmidtReport:
     reconstruction_error: float
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(NamedTuple):
     """Outcome weights and entropies of a single premeasurement branching."""
 
     object_dim: int
@@ -52,8 +50,7 @@ class BranchReport:
     total_entropy: float
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Total-entropy trajectory of a device-chain protocol."""
 
     object_dim: int
@@ -161,7 +158,7 @@ def _json_object(keys, values: list, pad: str) -> str:
 @functools.cache
 def _field_names(payload_type: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """A payload class's field names in declaration order and sorted, found once per class."""
-    names = tuple(f.name for f in dataclasses.fields(payload_type))
+    names = payload_type._fields
     return names, tuple(sorted(names))
 
 

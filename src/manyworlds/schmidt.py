@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contracts import DecompositionError
 from .hilbert import (
     EPS_EIG,
     EPS_RANK,
@@ -24,10 +25,6 @@ from .hilbert import (
     _gram_deviation,
     _norm,
 )
-
-
-class DecompositionError(RuntimeError):
-    """Internal consistency failure while pairing the two subsystem bases."""
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import resource
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manyworlds import DIM_CAP, cli, schmidt
+from manyworlds import DIM_CAP, branching, cli, experiments, schmidt
 from manyworlds.branching import CHAIN_DEVICES_CAP
 from manyworlds.cli import main, parse_config
 from manyworlds.experiments import (
@@ -50,22 +49,22 @@ PAYLOAD_TYPES = {
 
 
 def field_names(payload_type) -> set[str]:
-    return {f.name for f in dataclasses.fields(payload_type)}
+    return set(payload_type._fields)
 
 
 def json_values(payload) -> dict:
     """repr of each payload value as json.loads reads it back: tuples as lists."""
     return {name: repr(list(value) if isinstance(value, tuple) else value)
-            for name, value in dataclasses.asdict(payload).items()}
+            for name, value in payload._asdict().items()}
 
 
 def read_csv_payload(data: bytes, payload):
     """A CSV report read back cell by cell, each by the type of the payload's value."""
     header, row, end = data.decode("utf-8").split("\n")
     assert end == ""
-    assert header.split(",") == [f.name for f in dataclasses.fields(payload)]
+    assert header.split(",") == list(payload._fields)
     values = {}
-    for (name, like), cell in zip(dataclasses.asdict(payload).items(), row.split(","),
+    for (name, like), cell in zip(payload._asdict().items(), row.split(","),
                                   strict=True):
         if isinstance(like, tuple):
             values[name] = tuple(float(t) for t in cell.split(";")) if cell else ()
@@ -203,6 +202,34 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match="unknown experiment 'frobnicate'"):
             cli.run_experiment(ExperimentConfig("frobnicate", {}, 0))
 
+    def test_library_caller_gets_unknown_parameter(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        with pytest.raises(ConfigError) as refused:
+            cli.run_experiment(ExperimentConfig("zeno", {"k": 1, "bogus": 3}, 0, "json",
+                                                str(out)))
+        assert not out.exists()
+        path = tmp_path / "run.cfg"
+        path.write_text("k=1\nbogus=3\n")
+        assert main(["zeno", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert str(refused.value) == "unknown config keys for experiment 'zeno': bogus"
+
+    @pytest.mark.parametrize("experiment,parameters,message", [
+        ("overlap", {"dim": "4", "trials": 10}, "dim expects int, got str '4'"),
+        ("overlap", {"dim": 4.0, "trials": 10}, "dim expects int, got float 4.0"),
+        ("overlap", {"dim": True, "trials": 10}, "dim expects int, got bool True"),
+        ("zeno", {"k": np.int64(2)}, "k expects int, got int64 "),
+        ("worlds", {"universe_age_s": 1, "planck_time_s": 5.39e-44, "model": "linear"},
+         "universe_age_s expects float, got int 1"),
+        ("evolve", {"depth": 4, "mode": None, "trials": 10}, "mode expects str, got NoneType"),
+    ])
+    def test_library_caller_gets_mistyped_parameter(self, tmp_path, experiment, parameters,
+                                                    message):
+        out = tmp_path / "never.json"
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            cli.run_experiment(ExperimentConfig(experiment, parameters, 0, "json", str(out)))
+        assert not out.exists()
+
     def test_missing_required_parameter_is_two(self, capsys):
         assert main(["overlap"]) == 2
         assert "--dim" in capsys.readouterr().err
@@ -289,7 +316,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError("cannot allocate")
 
-        monkeypatch.setattr(cli, "run_chain_protocol", exhausted)
+        monkeypatch.setattr(branching, "run_chain_protocol", exhausted)
         assert main(["chain", "--dim", "2", "--devices", "3"]) == 4
         assert capsys.readouterr().err == "error: out of memory: cannot allocate\n"
 
@@ -297,7 +324,7 @@ class TestExitCodes:
         def failing(*args, **kwargs):
             raise DecompositionError("reconstruction residual 1e-3")
 
-        monkeypatch.setattr(cli, "schmidt_decompose", failing)
+        monkeypatch.setattr(schmidt, "schmidt_decompose", failing)
         assert main(["schmidt", "--d-left", "2", "--d-right", "2"]) == 5
         err = capsys.readouterr().err
         assert err == "error: numerical self-check failed: reconstruction residual 1e-3\n"
@@ -306,7 +333,7 @@ class TestExitCodes:
         def failing(k):
             raise ArithmeticError("sequential projection 0.5 disagrees with closed form 0.25")
 
-        monkeypatch.setattr(cli, "polarizer_chain", failing)
+        monkeypatch.setattr(experiments, "polarizer_chain", failing)
         assert main(["zeno", "--k", "3"]) == 5
         assert capsys.readouterr().err == (
             "error: numerical self-check failed: "
@@ -761,7 +788,7 @@ def csv_cell_oracle(value) -> str:
 
 
 def emit_report_oracle(report, output_format: str) -> bytes:
-    fields = {f.name: getattr(report.result, f.name) for f in dataclasses.fields(report.result)}
+    fields = report.result._asdict()
     if output_format == "json":
         envelope = {
             "config": {
