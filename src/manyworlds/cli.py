@@ -344,7 +344,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         result=payload,
         wall_time_s=time.perf_counter() - started,
     )
-    data = emit_report(report, config.output_format)
+    data = emit_report(report)
     if config.output_path is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

@@ -10,14 +10,12 @@ reader reads the JSON form.
 
 Reports are flat: every payload field and config parameter is a scalar
 (None, bool, int, float or str) or a list or tuple of floats, so a report
-is written field by field with all of its floats formatted in one pass.
+is written value by value, each in the format its config names.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
@@ -63,7 +61,7 @@ class ChainReport(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run; checks its format, and the library its parameters when run."""
+    """One experiment run; checks its format and seed, and the library its parameters when run."""
 
     experiment: str
     parameters: dict
@@ -74,6 +72,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
+        if type(self.seed) is not int:  # a bool or a numpy integer is not an int
+            raise ConfigError(f"seed expects int, got {type(self.seed).__name__} {self.seed!r}")
 
 
 @dataclass
@@ -90,46 +90,32 @@ class ExperimentReport:
     wall_time_s: float | None = None
 
 
-def _format_floats(values) -> list[str]:
-    """17-significant-digit decimal form of each value, which always reads back as a float.
-
-    All values are formatted by one %-format call.
-    """
-    texts = (("%.17g\n" * len(values)) % tuple(values)).split("\n")
-    texts.pop()
-    return [t if "." in t or "e" in t else _integral_float(t) for t in texts]
-
-
-def _integral_float(text: str) -> str:
+def _float_text(value: float) -> str:
+    """17-significant-digit decimal form of a finite float, which always reads back as a float."""
+    text = "%.17g" % value
+    if "." in text or "e" in text:
+        return text
     if "n" in text:  # "inf", "-inf" or "nan"
-        raise ValueError(f"non-finite value {float(text)!r} cannot be serialized")
+        raise ValueError(f"non-finite value {value!r} cannot be serialized")
     return text + ".0"
 
 
-def _texts(values: list, scalar) -> list:
-    """Per flat value, its text, or for a sequence the list of its elements' texts.
-
-    Every float, scalar or in a sequence, is formatted by one _format_floats
-    call; any other scalar by `scalar`.
-    """
-    floats = []
-    for value in values:
-        if isinstance(value, float):
-            floats.append(value)
-        elif isinstance(value, (list, tuple)):
-            if not all(isinstance(v, float) for v in value):
-                raise TypeError("a report sequence must hold floats only")
-            floats += value
-    formatted = iter(_format_floats(floats))
-    return [
-        next(formatted) if isinstance(value, float)
-        else list(islice(formatted, len(value))) if isinstance(value, (list, tuple))
-        else scalar(value)
-        for value in values
-    ]
+def _float_texts(values) -> list[str]:
+    """The text of each element of a report sequence, which must hold floats only."""
+    if not all(isinstance(v, float) for v in values):
+        raise TypeError("a report sequence must hold floats only")
+    return [_float_text(v) for v in values]
 
 
-def _json_scalar(value) -> str:
+def _json_value(value, pad: str) -> str:
+    """One flat value as JSON; a sequence is closed at indent `pad`."""
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        texts = _float_texts(value)
+        if not texts:
+            return "[]"
+        return "[\n" + pad + "  " + (",\n" + pad + "  ").join(texts) + "\n" + pad + "]"
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -141,65 +127,44 @@ def _json_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _json_object(keys, values: list, pad: str) -> str:
-    """Flat values under their sorted keys as a JSON object, closed at indent `pad`."""
-    if not keys:
+def _json_object(fields: dict, pad: str) -> str:
+    """Flat fields under their sorted keys as a JSON object, closed at indent `pad`."""
+    if not fields:
         return "{}"
     inner = pad + "  "
-    items = []
-    for key, text in zip(keys, _texts(values, _json_scalar)):
-        if isinstance(text, list):
-            text = ("[\n" + inner + "  " + (",\n" + inner + "  ").join(text)
-                    + "\n" + inner + "]") if text else "[]"
-        items.append(f"{inner}{_json_string(str(key))}: {text}")
+    items = [f"{inner}{_json_string(str(key))}: {_json_value(fields[key], inner)}"
+             for key in sorted(fields)]
     return "{\n" + ",\n".join(items) + "\n" + pad + "}"
 
 
-@functools.cache
-def _field_names(payload_type: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """A payload class's field names in declaration order and sorted, found once per class."""
-    names = payload_type._fields
-    return names, tuple(sorted(names))
-
-
-def emit_report(report: ExperimentReport, output_format: str) -> bytes:
-    """Serialize a report. JSON carries the config echo, CSV the payload row."""
-    if output_format == "json":
-        config, result = report.config, report.result
-        param_keys = sorted(config.parameters)
-        params = _json_object(param_keys, [config.parameters[k] for k in param_keys], "    ")
-        result_keys = _field_names(type(result))[1]
-        payload = _json_object(result_keys, [getattr(result, k) for k in result_keys], "  ")
-        return (
-            "{\n"
-            '  "config": {\n'
-            f'    "experiment": {_json_scalar(config.experiment)},\n'
-            f'    "parameters": {params},\n'
-            f'    "seed": {_json_scalar(config.seed)}\n'
-            "  },\n"
-            f'  "result": {payload},\n'
-            f'  "version": {_json_scalar(report.version)}\n'
-            "}\n"
-        ).encode("utf-8")
-    if output_format == "csv":
-        return _csv_bytes(report.result)
-    raise ConfigError(f"unknown output format {output_format!r}")
-
-
-_CSV_FORBIDDEN = set(',"\n\r')
-
-
-def _csv_scalar(value) -> str:
+def _csv_cell(value) -> str:
+    """One flat value as a CSV cell: a sequence joined by ';', None as the empty cell."""
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(_float_texts(value))
     if value is None:
         return ""
     text = str(value)
-    if _CSV_FORBIDDEN & set(text):
+    if not set(text).isdisjoint(',"\n\r'):
         raise ValueError(f"value {text!r} is not representable in a CSV cell")
     return text
 
 
-def _csv_bytes(payload) -> bytes:
-    names = _field_names(type(payload))[0]
-    cells = [";".join(t) if isinstance(t, list) else t
-             for t in _texts([getattr(payload, n) for n in names], _csv_scalar)]
-    return (",".join(names) + "\n" + ",".join(cells) + "\n").encode("utf-8")
+def emit_report(report: ExperimentReport) -> bytes:
+    """Serialize a report in its config's format: JSON echoes the config, CSV only the payload."""
+    config, fields = report.config, report.result._asdict()
+    if config.output_format == "csv":
+        return (",".join(fields) + "\n" + ",".join(map(_csv_cell, fields.values()))
+                + "\n").encode("utf-8")
+    return (
+        "{\n"
+        '  "config": {\n'
+        f'    "experiment": {_json_value(config.experiment, "")},\n'
+        f'    "parameters": {_json_object(config.parameters, "    ")},\n'
+        f'    "seed": {config.seed}\n'
+        "  },\n"
+        f'  "result": {_json_object(fields, "  ")},\n'
+        f'  "version": {_json_value(report.version, "")}\n'
+        "}\n"
+    ).encode("utf-8")

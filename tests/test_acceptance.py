@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from manyworlds import (
     evolution_walk,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SWEEP_SPLITS = [(2, 2), (2, 8), (4, 4), (4, 6), (8, 8)]
 SWEEP_SIZE = 1000
 
@@ -200,6 +202,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         for run, threads in ((0, "1"), (1, "2")):
             out = tmp_path / f"{index}_{run}.out"
             env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
             env["OMP_NUM_THREADS"] = threads
             env["OPENBLAS_NUM_THREADS"] = threads
             proc = subprocess.run(

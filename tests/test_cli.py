@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
 import time
 import tracemalloc
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +34,12 @@ from manyworlds.reporting import (
     ExperimentConfig,
     ExperimentReport,
     SchmidtReport,
-    _format_floats,
+    _float_text,
     emit_report,
 )
 from manyworlds.schmidt import DecompositionError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PAYLOAD_TYPES = {
     "schmidt": SchmidtReport,
@@ -229,6 +234,21 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match=f"^{message}"):
             cli.run_experiment(ExperimentConfig(experiment, parameters, 0, "json", str(out)))
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed,message", [
+        (True, "seed expects int, got bool True"),
+        (1.5, "seed expects int, got float 1.5"),
+        ("7", "seed expects int, got str '7'"),
+        (None, "seed expects int, got NoneType None"),
+        (np.int64(7), "seed expects int, got int64 "),
+    ])
+    def test_library_caller_gets_mistyped_seed(self, tmp_path, capsys, seed, message):
+        out = tmp_path / "never.json"
+        for output_path in (str(out), None):
+            with pytest.raises(ConfigError, match=f"^{message}"):
+                cli.run_experiment(ExperimentConfig("zeno", {"k": 1}, seed, "json", output_path))
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_missing_required_parameter_is_two(self, capsys):
         assert main(["overlap"]) == 2
@@ -587,10 +607,12 @@ def _limit_address_space():
 
 
 def _run_limited(args, out):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "manyworlds", *args, "--out", str(out)],
-                          capture_output=True, text=True, preexec_fn=_limit_address_space,
-                          timeout=600)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_limit_address_space, timeout=600)
     return proc, time.perf_counter() - started
 
 
@@ -658,7 +680,7 @@ class TestSerializationRoundTrip:
     def test_json_round_trip(self, experiment, payload):
         config = ExperimentConfig(experiment=experiment, parameters={"x": 1}, seed=3)
         report = ExperimentReport(config, "0.1.0", payload, wall_time_s=0.5)
-        data = emit_report(report, "json")
+        data = emit_report(report)
         parsed = json.loads(data)
         assert {k: repr(v) for k, v in parsed["result"].items()} == json_values(payload)
         assert parsed["config"] == {"experiment": experiment, "parameters": {"x": 1}, "seed": 3}
@@ -667,9 +689,10 @@ class TestSerializationRoundTrip:
 
     @pytest.mark.parametrize("experiment,payload", PAYLOADS)
     def test_csv_round_trip(self, experiment, payload):
-        config = ExperimentConfig(experiment=experiment, parameters={}, seed=3)
+        config = ExperimentConfig(experiment=experiment, parameters={}, seed=3,
+                                  output_format="csv")
         report = ExperimentReport(config, "0.1.0", payload, wall_time_s=0.5)
-        data = emit_report(report, "csv")
+        data = emit_report(report)
         assert data.endswith(b"\n")
         assert b"\r" not in data
         assert read_csv_payload(data, payload) == payload
@@ -677,7 +700,7 @@ class TestSerializationRoundTrip:
     def test_emitted_json_is_sorted_and_newline_terminated(self):
         config = ExperimentConfig(experiment="zeno", parameters={"k": 1}, seed=0)
         report = ExperimentReport(config, "0.1.0", ZenoReport(1, 0.25, "deterministic-polarizer"))
-        text = emit_report(report, "json").decode()
+        text = emit_report(report).decode()
         assert text.endswith("\n")
         keys = [line.split('"')[1] for line in text.splitlines() if line.startswith('  "')]
         assert keys == sorted(keys)
@@ -725,7 +748,7 @@ class TestSerializationProperties:
         payload = data.draw(_payloads(PAYLOAD_TYPES[experiment]))
         seed = data.draw(st.integers(-(2**63), 2**64 - 1))
         config = ExperimentConfig(experiment=experiment, parameters={"x": 1}, seed=seed)
-        parsed = json.loads(emit_report(ExperimentReport(config, "0.5.0", payload), "json"))
+        parsed = json.loads(emit_report(ExperimentReport(config, "0.5.0", payload)))
         assert {k: repr(v) for k, v in parsed["result"].items()} == json_values(payload)
         assert parsed["config"]["seed"] == seed
 
@@ -735,8 +758,9 @@ class TestSerializationProperties:
     def test_csv_round_trip(self, experiment, data):
         payload_type = PAYLOAD_TYPES[experiment]
         payload = data.draw(_payloads(payload_type))
-        config = ExperimentConfig(experiment=experiment, parameters={}, seed=0)
-        emitted = emit_report(ExperimentReport(config, "0.5.0", payload), "csv")
+        config = ExperimentConfig(experiment=experiment, parameters={}, seed=0,
+                                  output_format="csv")
+        emitted = emit_report(ExperimentReport(config, "0.5.0", payload))
         assert repr(read_csv_payload(emitted, payload)) == repr(payload)
 
 
@@ -787,9 +811,9 @@ def csv_cell_oracle(value) -> str:
     return text
 
 
-def emit_report_oracle(report, output_format: str) -> bytes:
+def emit_report_oracle(report) -> bytes:
     fields = report.result._asdict()
-    if output_format == "json":
+    if report.config.output_format == "json":
         envelope = {
             "config": {
                 "experiment": report.config.experiment,
@@ -820,18 +844,46 @@ class TestFlatEmitterMatchesRecursiveOracle:
         payload = data.draw(_payloads(PAYLOAD_TYPES[experiment]))
         config = ExperimentConfig(experiment=experiment, parameters=data.draw(PARAMETERS),
                                   seed=data.draw(st.integers(-(2**63), 2**64 - 1)))
-        report = ExperimentReport(config, data.draw(st.sampled_from(["0.5.0", "x\u00e9"])),
-                                  payload)
+        version = data.draw(st.sampled_from(["0.5.0", "x\u00e9"]))
         for output_format in ("json", "csv"):
-            assert emit_report(report, output_format) == emit_report_oracle(report, output_format)
+            report = ExperimentReport(
+                dataclasses.replace(config, output_format=output_format), version, payload)
+            assert emit_report(report) == emit_report_oracle(report)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("output_format", ["json", "csv"])
     def test_non_finite_rejected(self, bad, output_format):
         payload = BranchReport(3, 5, 3, (0.5, bad, 0.2), (), 1.0)
-        report = ExperimentReport(ExperimentConfig("branch", {}, 0), "0.5.0", payload)
+        config = ExperimentConfig("branch", {}, 0, output_format=output_format)
         with pytest.raises(ValueError, match="non-finite"):
-            emit_report(report, output_format)
+            emit_report(ExperimentReport(config, "0.5.0", payload))
+
+
+class TestWriterRefusals:
+    """A value no reader could get back is refused, in both formats."""
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_sequence_of_non_floats_is_a_type_error(self, output_format):
+        payload = BranchReport(2, 5, 2, (1, 0.5), (0.0, 0.0), 0.0)
+        config = ExperimentConfig("branch", {}, 0, output_format=output_format)
+        with pytest.raises(TypeError, match="floats only"):
+            emit_report(ExperimentReport(config, "0.5.0", payload))
+
+    @pytest.mark.parametrize("value,message", [
+        ([1, 2], "floats only"), ({"a": 1.0}, "cannot serialize dict"),
+        (np.int64(2), "cannot serialize int64"),
+    ])
+    def test_unserializable_parameter_is_a_type_error(self, value, message):
+        config = ExperimentConfig("zeno", {"x": value}, 0)
+        report = ExperimentReport(config, "0.5.0", ZenoReport(1, 0.25, "deterministic-polarizer"))
+        with pytest.raises(TypeError, match=message):
+            emit_report(report)
+
+    @pytest.mark.parametrize("text", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_csv_cell_with_a_separator_is_a_value_error(self, text):
+        config = ExperimentConfig("zeno", {}, 0, output_format="csv")
+        with pytest.raises(ValueError, match="not representable in a CSV cell"):
+            emit_report(ExperimentReport(config, "0.5.0", ZenoReport(1, 0.25, text)))
 
 
 class TestFloatFormatting:
@@ -841,14 +893,15 @@ class TestFloatFormatting:
          math.pi, 2.083984375, 1.0000000000000002],
     )
     def test_seventeen_digits_round_trip(self, value):
-        [text] = _format_floats([value])
-        assert repr(float(text)) == repr(value)
+        assert repr(float(_float_text(value))) == repr(value)
 
     def test_integral_floats_keep_a_decimal_point(self):
-        assert _format_floats([60.0, 0.0]) == ["60.0", "0.0"]
+        assert [_float_text(60.0), _float_text(0.0)] == ["60.0", "0.0"]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            _format_floats([math.inf])
+            _float_text(math.inf)
         with pytest.raises(ValueError):
-            _format_floats([1.0, math.nan])
+            _float_text(-math.inf)
+        with pytest.raises(ValueError):
+            _float_text(math.nan)
