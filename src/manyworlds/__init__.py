@@ -3,10 +3,11 @@
 The library is organized in four layers: Hilbert-space arithmetic with
 dense states and structured (local-factor and index-gather) unitaries
 (`hilbert`), the bi-orthogonal preferred-basis decomposition (`schmidt`),
-the branch tree with its entropy ledger (`branching`), and seeded
-statistical experiments (`experiments`). Reports and the command-line front
-end live in `reporting` and `cli`; the numpy-free cap and error types in
-`contracts`.
+the branch tree with its entropy ledger (`branching`), and seeded Monte
+Carlo experiments (`experiments`). The closed-form polarizer chain and world
+count (`deterministic`) are plain floats and load no numpy. Reports and the
+command-line front end live in `reporting` and `cli`; the numpy-free cap and
+error types in `contracts`.
 
 Importing the package loads no layer. Each exported name, and each layer
 module named as an attribute, is imported on first use (PEP 562), so a
@@ -15,7 +16,7 @@ process loads only the layers it runs.
 
 import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 # Every exported name, under the module that defines it.
 _EXPORTS = {
@@ -35,10 +36,12 @@ _EXPORTS = {
         "build_chain_tree", "interact_and_branch", "premeasurement_unitary",
         "rescaled_entropy_trace", "run_chain_protocol", "total_entropy",
     ),
+    "deterministic": (
+        "WorldCountConfig", "WorldCountReport", "ZenoReport", "polarizer_chain", "world_count",
+    ),
     "experiments": (
-        "ComplexityReport", "OverlapReport", "WorldCountConfig", "WorldCountReport",
-        "ZenoReport", "evolution_walk", "overlap_statistics", "polarizer_chain",
-        "random_projection_chain", "world_count",
+        "ComplexityReport", "OverlapReport", "evolution_walk", "overlap_statistics",
+        "random_projection_chain",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,9 +22,8 @@ from typing import Callable, NamedTuple, Optional
 # and a later call pays one attribute lookup per layer.
 import manyworlds as _package
 
-from . import __version__
-from .contracts import (DEFAULT_PLANCK_TIME_S, DEFAULT_UNIVERSE_AGE_S, CapacityError,
-                        DecompositionError)
+from . import __version__, deterministic
+from .contracts import CapacityError, DecompositionError
 from .reporting import (
     BranchReport,
     ChainReport,
@@ -125,9 +124,8 @@ def _run_chain(p: dict, seed: int):
 
 
 def _run_worlds(p: dict, seed: int):
-    experiments = _package.experiments
-    return experiments.world_count(
-        experiments.WorldCountConfig(
+    return deterministic.world_count(
+        deterministic.WorldCountConfig(
             universe_age_s=p["universe_age_s"],
             planck_time_s=p["planck_time_s"],
             growth_model=p["model"],
@@ -172,7 +170,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     Experiment(
         "zeno",
         (Param("k", int, help="intermediate lens count"),),
-        lambda p, seed: _package.experiments.polarizer_chain(p["k"]),
+        lambda p, seed: deterministic.polarizer_chain(p["k"]),
         help="deterministic polarizer chain transmission",
     ),
     Experiment(
@@ -189,9 +187,9 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     Experiment(
         "worlds",
         (
-            Param("universe_age_s", float, default=DEFAULT_UNIVERSE_AGE_S,
+            Param("universe_age_s", float, default=deterministic.DEFAULT_UNIVERSE_AGE_S,
                   help="age of the universe in seconds"),
-            Param("planck_time_s", float, default=DEFAULT_PLANCK_TIME_S,
+            Param("planck_time_s", float, default=deterministic.DEFAULT_PLANCK_TIME_S,
                   help="elementary time step in seconds"),
             Param("model", str, default="linear", choices=("linear", "exponential"),
                   help="growth model"),

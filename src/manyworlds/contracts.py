@@ -1,9 +1,8 @@
 """The package-wide contracts that need no numpy.
 
-The dimension cap and its check, the error types the command line maps to
-exit codes, and the world-count defaults live here, so that the command
-line can build its parser and map every error without loading a numeric
-layer. `hilbert`, `schmidt` and `experiments` import them from here.
+The dimension cap and its check and the error types the command line maps
+to exit codes live here, so that the command line can map every error
+without loading a numeric layer. Every layer imports them from here.
 """
 
 from __future__ import annotations
@@ -11,9 +10,6 @@ from __future__ import annotations
 import math
 
 DIM_CAP = 2**14     # hard cap on the total dimension of a state
-
-DEFAULT_UNIVERSE_AGE_S = 4.35e17
-DEFAULT_PLANCK_TIME_S = 5.39e-44
 
 
 class ShapeError(ValueError):

@@ -1,37 +1,35 @@
-"""Seeded statistical experiments on branching and measurement chains.
+"""Seeded Monte Carlo experiments on measurement chains and complexity walks.
 
-Four drivers: uniform-random overlap statistics, the polarizer chain and its
-random-projection counterpart, world-count order-of-magnitude estimates, and
-complexity random walks with a reflecting barrier at zero. Trial t reads its
-own block of the seed's trial stream (see `rng`), read in chunks of trials or
-in column pieces of one long row, and reports do not depend on the chunking.
+Three drivers: uniform-random overlap statistics, the random-projection
+chain, and complexity random walks with a reflecting barrier at zero. The
+closed-form polarizer chain and world count live in `deterministic`, which
+loads no numpy. Trial t reads its own block of the seed's trial stream (see
+`rng`), read in chunks of trials or in column pieces of one long row, and
+reports do not depend on the chunking.
 
 The random-state drivers never build a state: each overlap along a chain
 of uniformly random states is drawn from its exact law, Beta(1, N - 1)
 independent of the states before it, one uniform per overlap. A Monte
-Carlo run is capped at UNIFORMS_CAP drawn uniforms, the exact full-branching
-walk at FULL_BRANCHING_DEPTH_CAP steps and the polarizer chain at
-POLARIZER_K_CAP lenses; larger runs raise CapacityError before anything is
-drawn or summed.
+Carlo run is capped at UNIFORMS_CAP drawn uniforms and the exact
+full-branching walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs raise
+CapacityError before anything is drawn or summed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import rng
-from .contracts import (DEFAULT_PLANCK_TIME_S, DEFAULT_UNIVERSE_AGE_S, CapacityError,
-                        _check_dims)
+from .contracts import CapacityError, _check_dims
+from .deterministic import ZenoReport
 
 UNIFORMS_CAP = 2**28              # most uniforms one run draws, trials x padded block; 6-11 s
 # The reported branch count 2**depth must print within Python's default limit
 # of 4300 decimal digits; at this depth the O(depth^2) big-int sums take ~0.04 s.
 FULL_BRANCHING_DEPTH_CAP = 14_284
-POLARIZER_K_CAP = 2**20           # most lenses of one polarizer chain; one loop pass per stage
 
 
 class OverlapReport(NamedTuple):
@@ -40,35 +38,6 @@ class OverlapReport(NamedTuple):
     mean_overlap_sq: float
     std_error: float
     seed: int
-
-
-class ZenoReport(NamedTuple):
-    n_intermediate: int
-    transmission_probability: float
-    mode: str                      # "deterministic-polarizer" | "random-projection"
-    trials: Optional[int] = None   # random mode only
-    seed: Optional[int] = None     # random mode only
-
-
-@dataclass(frozen=True)
-class WorldCountConfig:
-    universe_age_s: float = DEFAULT_UNIVERSE_AGE_S
-    planck_time_s: float = DEFAULT_PLANCK_TIME_S
-    growth_model: str = "linear"   # "linear" | "exponential"
-
-    def __post_init__(self):
-        if not (0.0 < self.universe_age_s < math.inf and 0.0 < self.planck_time_s < math.inf):
-            raise ValueError("ages and times must be positive and finite")
-        if self.universe_age_s <= self.planck_time_s:
-            raise ValueError("universe age must exceed the elementary time step")
-        if self.growth_model not in ("linear", "exponential"):
-            raise ValueError(f"unknown growth model {self.growth_model!r}")
-
-
-class WorldCountReport(NamedTuple):
-    log10_ratio: float
-    log10_worlds: Optional[float] = None          # linear model
-    log10_log10_worlds: Optional[float] = None    # exponential model
 
 
 class ComplexityReport(NamedTuple):
@@ -136,37 +105,6 @@ def overlap_statistics(dim: int, trials: int, seed: int) -> OverlapReport:
     return OverlapReport(dim, trials, float(np.mean(probs)), err, seed)
 
 
-def polarizer_chain(k: int) -> ZenoReport:
-    """Transmission through k equally rotated polarizers between crossed ones.
-
-    A vertically prepared photon traverses k+1 projective stages, each
-    rotated by pi/(2(k+1)) from the previous axis. Computed by sequential
-    two-dimensional projection and cross-checked against the closed form
-    cos^(2(k+1))(pi / (2(k+1))) within 8 (k+1) eps; a larger gap raises
-    ArithmeticError.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k > POLARIZER_K_CAP:
-        raise CapacityError(f"{k} lenses exceed the cap {POLARIZER_K_CAP}")
-    stages = k + 1
-    step = math.pi / (2 * stages)
-    probability = 1.0
-    direction = np.array([1.0, 0.0])
-    for m in range(1, stages + 1):
-        axis = np.array([math.cos(m * step), math.sin(m * step)])
-        amplitude = float(axis @ direction)
-        probability *= amplitude**2
-        direction = axis
-    closed_form = math.cos(step) ** (2 * stages)
-    # both sides round once or twice per stage: a first-order bound of the drift
-    if not abs(probability - closed_form) <= 8 * stages * math.ulp(1.0):
-        raise ArithmeticError(
-            f"sequential projection {probability!r} disagrees with closed form {closed_form!r}"
-        )
-    return ZenoReport(k, probability, "deterministic-polarizer")
-
-
 def random_projection_chain(dim: int, k: int, trials: int, seed: int) -> ZenoReport:
     """Mean survival-and-transition probability through k random projectors.
 
@@ -181,22 +119,6 @@ def random_projection_chain(dim: int, k: int, trials: int, seed: int) -> ZenoRep
         raise ValueError(f"k must be >= 0, got {k}")
     mean = float(np.mean(_chain_transmissions(dim, k, trials, seed)))
     return ZenoReport(k, mean, "random-projection", trials=trials, seed=seed)
-
-
-def world_count(config: WorldCountConfig) -> WorldCountReport:
-    """Order-of-magnitude world count from the age-to-elementary-time ratio.
-
-    Works entirely in the log domain so arbitrarily extreme inputs cannot
-    overflow. The linear model counts one world per elementary time step;
-    the exponential model compounds the count once per step and is reported
-    as a doubly-iterated log10.
-    """
-    log10_ratio = math.log10(config.universe_age_s) - math.log10(config.planck_time_s)
-    if config.growth_model == "linear":
-        return WorldCountReport(log10_ratio, log10_worlds=log10_ratio)
-    # log10 log10 e^(ratio) = log10(ratio * log10 e), evaluated in logs
-    log10_log10 = log10_ratio + math.log10(math.log10(math.e))
-    return WorldCountReport(log10_ratio, log10_log10_worlds=log10_log10)
 
 
 def evolution_walk(

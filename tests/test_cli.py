@@ -15,17 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manyworlds import DIM_CAP, branching, cli, experiments, schmidt
+from manyworlds import DIM_CAP, branching, cli, deterministic, schmidt
 from manyworlds.branching import CHAIN_DEVICES_CAP
 from manyworlds.cli import main, parse_config
+from manyworlds.deterministic import POLARIZER_K_CAP, WorldCountReport, ZenoReport
 from manyworlds.experiments import (
     FULL_BRANCHING_DEPTH_CAP,
-    POLARIZER_K_CAP,
     UNIFORMS_CAP,
     ComplexityReport,
     OverlapReport,
-    WorldCountReport,
-    ZenoReport,
 )
 from manyworlds.reporting import (
     BranchReport,
@@ -200,7 +198,7 @@ class TestExitCodes:
     def test_help_and_version_still_print(self, capsys, args):
         assert main(args) == 0
         captured = capsys.readouterr()
-        assert captured.out.startswith(("usage: manyworlds", "manyworlds 0.7.0"))
+        assert captured.out.startswith(("usage: manyworlds", "manyworlds 0.8.0"))
         assert captured.err == ""
 
     def test_library_caller_gets_unknown_experiment(self):
@@ -353,7 +351,7 @@ class TestExitCodes:
         def failing(k):
             raise ArithmeticError("sequential projection 0.5 disagrees with closed form 0.25")
 
-        monkeypatch.setattr(experiments, "polarizer_chain", failing)
+        monkeypatch.setattr(deterministic, "polarizer_chain", failing)
         assert main(["zeno", "--k", "3"]) == 5
         assert capsys.readouterr().err == (
             "error: numerical self-check failed: "
@@ -476,7 +474,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.7.0"
+        assert payload["version"] == "0.8.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from manyworlds import (
     DIM_CAP,
@@ -15,6 +17,7 @@ from manyworlds import (
     world_count,
 )
 from manyworlds import rng
+from manyworlds.deterministic import POLARIZER_K_CAP
 from manyworlds.experiments import _chain_transmissions, _trial_blocks
 
 
@@ -165,12 +168,20 @@ class TestPolarizerChain:
         with pytest.raises(ValueError):
             polarizer_chain(-1)
 
-    @pytest.mark.parametrize("k", [10**4, 10**5, 2**18])
+    @pytest.mark.parametrize("k", [10**4, 10**5, 2**18, POLARIZER_K_CAP])
     def test_long_chains_pass_their_self_check(self, k):
         # rounding in the product of k + 1 squared amplitudes grows with k;
-        # a fixed 1e-12 tolerance refused all three
+        # a fixed 1e-12 tolerance refused the first three
         want = math.cos(math.pi / (2 * (k + 1))) ** (2 * (k + 1))
         assert abs(polarizer_chain(k).transmission_probability - want) < 1e-9
+
+    @given(st.integers(0, 20_000))
+    def test_within_its_tolerance_and_increasing(self, k):
+        got = polarizer_chain(k).transmission_probability
+        stages = k + 1
+        want = math.cos(math.pi / (2 * stages)) ** (2 * stages)
+        assert abs(got - want) <= 8 * stages * math.ulp(1.0)
+        assert polarizer_chain(k + 1).transmission_probability > got
 
 
 class TestRandomProjectionChain:

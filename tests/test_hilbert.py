@@ -22,7 +22,7 @@ from manyworlds import (
     partial_trace,
     tensor,
 )
-from manyworlds.experiments import WorldCountConfig
+from manyworlds.deterministic import WorldCountConfig
 from manyworlds.hilbert import (
     DEGENERACY_GAP,
     DIM_CAP,

@@ -10,18 +10,31 @@ fails here; if the change is intended (a new RNG stream or report field),
 bump `__version__` and regenerate the fixture with
 
     PYTHONPATH=src python3 tests/test_report_bytes.py
+
+The fixture also records, under BUILT_WITH, the numpy version, the OpenBLAS
+build configuration numpy reports and the core OpenBLAS picked at run time:
+the `schmidt`, `branch` and `chain` bytes depend on that core, so a failing
+case prints the recorded values next to the current ones. `zeno` and `worlds`
+load no numpy, and their bytes must not depend on the BLAS at all.
 """
 
+import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from manyworlds import __version__
 from manyworlds.cli import parse_config, run_experiment
 
 FIXTURE = Path(__file__).with_name("report_bytes.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
+BUILT_WITH = "_built_with"  # fixture key of the build record; not a case
 
 SCHMIDT_SPLITS = ((2, 2), (2, 8), (4, 4), (4, 6), (8, 8), (16, 16), (8, 32))
 BRANCH_DIMS = (*range(2, 17), 64)
@@ -41,18 +54,41 @@ RUNS = [
 CASES = [f"{run} --seed {seed}" for run in RUNS for seed in SEEDS]
 
 
+def build_info() -> dict[str, str]:
+    """numpy's version, its OpenBLAS configuration and the BLAS core in use."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    # numpy's bundled OpenBLAS; the extension's handle reaches its symbols
+    corename = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                       "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return {
+        "numpy": np.__version__,
+        "openblas_config": blas.get("openblas configuration", "unknown"),
+        "openblas_core": corename().decode() if corename is not None else "unknown",
+    }
+
+
+def report_digest(fmt: str, data: bytes) -> str:
+    """sha256 of one report, with the JSON version value masked."""
+    if fmt == "json":
+        version = f'\n  "version": {json.dumps(__version__)}\n'.encode()
+        assert data.count(version) == 1, "the JSON report must carry the version once"
+        data = data.replace(version, b'\n  "version": "*"\n')
+    return hashlib.sha256(data).hexdigest()
+
+
 def report_digests(args: str, out_dir: Path) -> dict[str, str]:
-    """sha256 of the JSON (version masked) and CSV reports the CLI writes for `args`."""
+    """sha256 of the JSON and CSV reports the CLI writes for `args`."""
     digests = {}
     for fmt in ("json", "csv"):
         out = out_dir / f"report.{fmt}"
         run_experiment(parse_config([*args.split(), "--format", fmt, "--out", str(out)]))
-        data = out.read_bytes()
-        if fmt == "json":
-            version = f'\n  "version": {json.dumps(__version__)}\n'.encode()
-            assert data.count(version) == 1, "the JSON report must carry the version once"
-            data = data.replace(version, b'\n  "version": "*"\n')
-        digests[fmt] = hashlib.sha256(data).hexdigest()
+        digests[fmt] = report_digest(fmt, out.read_bytes())
     return digests
 
 
@@ -62,12 +98,36 @@ def golden():
 
 
 def test_fixture_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(case for case in golden if case != BUILT_WITH) == sorted(CASES)
 
 
 @pytest.mark.parametrize("args", CASES)
 def test_report_bytes_unchanged(args, golden, tmp_path):
-    assert report_digests(args, tmp_path) == golden[args]
+    assert report_digests(args, tmp_path) == golden[args], (
+        f"fixture made with {golden.get(BUILT_WITH)}, this run has {build_info()}")
+
+
+# Variables set on the child processes only; OpenBLAS reads them when it loads.
+BLAS_ENVS = {
+    "default": {},
+    "haswell-core": {"OPENBLAS_CORETYPE": "Haswell"},
+    "two-threads": {"OPENBLAS_NUM_THREADS": "2"},
+}
+
+
+@pytest.mark.parametrize("env", BLAS_ENVS)
+@pytest.mark.parametrize("args", ["zeno --k 1000 --seed 0", "worlds --model exponential --seed 0"])
+def test_closed_forms_do_not_depend_on_the_blas(args, env, golden, tmp_path):
+    child_env = {**os.environ, **BLAS_ENVS[env]}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        subprocess.run([sys.executable, "-m", "manyworlds", *args.split(), "--format", fmt,
+                        "--out", str(out)], env=child_env, check=True, capture_output=True,
+                       timeout=120)
+        digests[fmt] = report_digest(fmt, out.read_bytes())
+    assert digests == golden[args], f"fixture made with {golden.get(BUILT_WITH)}"
 
 
 if __name__ == "__main__":
@@ -75,5 +135,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {args: report_digests(args, Path(tmp)) for args in CASES}
+    table[BUILT_WITH] = build_info()
     FIXTURE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(table)} cases to {FIXTURE}")
+    print(f"wrote {len(CASES)} cases and the build record to {FIXTURE}")
