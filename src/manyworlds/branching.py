@@ -21,7 +21,9 @@ from .hilbert import (
     BipartiteSplit,
     StateVector,
     UnitaryOperator,
-    _fresh_states,
+    _check_unit_norm,
+    _column_norms,
+    _fresh_state,
     apply_unitary,
     basis_state,
     haar_random_state,
@@ -58,18 +60,35 @@ class BranchNode:
     """One world line: weight, factorized post-branching state, entropies.
 
     ``history`` holds (step, entropy accumulated within the branch since its
-    birth) per interaction, opening with (birth_step, 0.0).
+    birth) per interaction, opening with (birth_step, 0.0). A child keeps
+    its Schmidt pair (left_n, right_n) until ``state`` is first read, which
+    forms and caches the product state and drops the pair.
     """
 
     id: int
     parent_id: Optional[int]
     weight: float              # relative to the parent at branching time
     cumulative_weight: float   # product of weights from the root
-    state: StateVector
     relative_entropy: float    # -weight * ln(weight)
     birth_step: int
     children: list[int] = field(default_factory=list)
     history: list[tuple[int, float]] = field(default_factory=list)
+    _state: Optional[StateVector] = field(default=None, repr=False, compare=False)
+    _pair: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def state(self) -> StateVector:
+        if self._state is None:
+            left, right = self._pair
+            # the products of np.kron(left, right), so the same bits
+            amps = np.multiply.outer(left, right).reshape(-1)
+            self.state = _fresh_state(amps, (left.size, right.size))
+        return self._state
+
+    @state.setter
+    def state(self, value: StateVector) -> None:
+        self._state, self._pair = value, None
 
 
 def _weight_entropy(w: float) -> float:
@@ -88,10 +107,10 @@ class BranchTree:
             parent_id=None,
             weight=1.0,
             cumulative_weight=1.0,
-            state=root_state,
             relative_entropy=0.0,
             birth_step=0,
             history=[(0, 0.0)],
+            _state=root_state,
         )
         self.nodes: dict[int, BranchNode] = {0: root}  # ids are dense; no node is removed
         self.ledger: list[LedgerRecord] = []
@@ -185,13 +204,13 @@ def interact_and_branch(
             raise CapacityError(
                 f"branching to {n_leaves_after} leaves exceeds the cap {MAX_LEAVES}"
             )
-        # Row n is left_n (x) right_n. The split factors the validated new_state
+        # Child n is left_n (x) right_n, kept as that pair of read-only views
+        # until its state is read. The split factors the validated new_state
         # and the decomposition checked both vector shapes, so only the norms
-        # are left to check; the children share this one read-only array.
+        # are left to check: the Gram check's 1e-10 is looser than 1e-12.
         left, right = dec.left_vectors.T, dec.right_vectors.T
-        pairs = np.multiply(left[:, :, None], right[:, None, :], order="C")
-        child_dims = (int(split.d_left), int(split.d_right))
-        child_states = _fresh_states(pairs.reshape(dec.rank, -1), child_dims)
+        norms = _column_norms(dec.left_vectors) * _column_norms(dec.right_vectors)
+        _check_unit_norm(norms[np.argmax(np.abs(norms - 1.0))])
         first_id = len(tree.nodes)
         children = [
             BranchNode(
@@ -199,12 +218,12 @@ def interact_and_branch(
                 parent_id=leaf_id,
                 weight=weight,
                 cumulative_weight=node.cumulative_weight * weight,
-                state=child_state,
                 relative_entropy=_weight_entropy(weight),
                 birth_step=step,
                 history=[(step, 0.0)],
+                _pair=(left[n], right[n]),
             )
-            for n, (weight, child_state) in enumerate(zip(dec.lambdas.tolist(), child_states))
+            for n, weight in enumerate(dec.lambdas.tolist())
         ]
 
     node.history.append((step, entanglement_entropy(dec)))

@@ -12,6 +12,7 @@ those checks still run before any computation starts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -382,4 +383,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    """`python -m manyworlds` and the console script: main() on one BLAS thread.
+
+    OpenBLAS reads these when numpy first loads, which no module imported
+    so far has done. One thread overrides the caller's setting, because an
+    SVD's bits depend on the thread count (README, "Report bytes and the BLAS").
+    """
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     sys.exit(main())

@@ -102,20 +102,6 @@ def _fresh_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
     return _wrap_state(amps, dims)
 
 
-def _fresh_states(rows: np.ndarray, dims: tuple[int, ...]) -> list[StateVector]:
-    """_fresh_state of every row of a C-contiguous (count, dim) complex array.
-
-    The norms are checked in one pass over the real view, which makes no
-    temporary the size of `rows`, and each state's amplitudes are a
-    read-only view of its row, not a copy.
-    """
-    parts = rows.view(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    _check_unit_norm(norms[np.argmax(np.abs(norms - 1.0))])
-    rows.flags.writeable = False
-    return [_wrap_state(amps, dims) for amps in rows]
-
-
 def _wrap_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
     psi = object.__new__(StateVector)
     object.__setattr__(psi, "amplitudes", amps)

@@ -15,8 +15,8 @@ is written value by value, each in the format its config names.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
 
@@ -88,6 +88,30 @@ class ExperimentReport:
     version: str
     result: object
     wall_time_s: float | None = None
+
+
+# json.encoder's pure-Python ASCII rule; the json package itself is not loaded
+_ESCAPE_ASCII = re.compile(r'([\\"]|[^\ -~])')
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
+            "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(match: re.Match) -> str:
+    char = match.group(0)
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    n = ord(char)
+    if n < 0x10000:
+        return "\\u%04x" % n
+    n -= 0x10000  # above the BMP: a surrogate pair
+    return "\\u%04x\\u%04x" % (0xD800 | (n >> 10), 0xDC00 | (n & 0x3FF))
+
+
+def _json_string(text: str) -> str:
+    """`text` as an ASCII-only JSON string, as json.encoder.encode_basestring_ascii writes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'  # nothing to escape; skips the slower regex pass
+    return '"' + _ESCAPE_ASCII.sub(_escape, text) + '"'
 
 
 def _float_text(value: float) -> str:

@@ -444,8 +444,14 @@ class TestOperatorMemory:
         assert _peak_bytes(premeasurement_unitary, 32, 32) < 2**20
 
 
+def _branch_premeasured(dim, seed):
+    """Tree of one object of dim outcomes and its ready device, and the branch inputs."""
+    tree = BranchTree(tensor(haar_random_state(dim, seed), basis_state(0, dim)))
+    return tree, premeasurement_unitary(dim, dim), BipartiteSplit(dim, dim)
+
+
 class TestChildStates:
-    """Children are rows of one read-only array; each invariant keeps a failing test."""
+    """Children keep their Schmidt pair until read; each invariant keeps a failing test."""
 
     def test_children_equal_kron_of_their_pair_bit_for_bit(self):
         dim = 9
@@ -471,6 +477,68 @@ class TestChildStates:
         own = sum(tree.node(c).state.amplitudes.nbytes for c in tree.node(0).children)
         assert own == dim * dim * dim * 16  # 4 MiB
         assert peak < own + 2**20  # a copy of every row would add another 4 MiB
+
+    def test_branching_peak_is_not_the_children(self):
+        tree, u, split = _branch_premeasured(64, 1)
+        # 64 dense children would take 4 MiB; their pairs are views of the decomposition
+        assert _peak_bytes(interact_and_branch, tree, tree.root_id, u, split) < 2**20
+
+    def test_state_read_twice_is_one_read_only_object(self):
+        tree, u, split = _branch_premeasured(5, 2)
+        dec = schmidt_decompose(apply_unitary(u, tree.node(0).state), split)
+        kids = interact_and_branch(tree, 0, u, split)
+        for n, kid in enumerate(kids):
+            first = tree.node(kid).state
+            assert tree.node(kid).state is first
+            assert not first.amplitudes.flags.writeable
+            want = np.kron(dec.left_vectors[:, n], dec.right_vectors[:, n])
+            assert first.amplitudes.tobytes() == want.tobytes()
+
+    def test_reading_one_child_forms_no_sibling(self):
+        tree, u, split = _branch_premeasured(6, 3)
+        first, *siblings = interact_and_branch(tree, 0, u, split)
+        assert tree.node(first).state.dims == (6, 6)
+        assert [tree.node(kid)._state for kid in siblings] == [None] * len(siblings)
+
+    def test_chain_forms_only_the_followed_children(self):
+        tree = build_chain_tree(3, 2, amplitudes=[1, 2, 3])
+        formed = {nid for nid, node in tree.nodes.items() if node._state is not None}
+        followed = {node.children[0] for node in tree.nodes.values() if node.children}
+        assert len(tree.nodes) == 7  # the root and two branchings into three
+        assert formed == {tree.root_id} | followed
+
+    @pytest.mark.parametrize("bad_child", [0, 3, 6])
+    @pytest.mark.parametrize("factor", [1 + 2e-12, 1 - 2e-12])
+    def test_any_child_off_unit_norm_rejected(self, monkeypatch, bad_child, factor):
+        # 2e-12 passes the 1e-10 Gram check, not the 1e-12 norm check
+        def skewed(psi, split):
+            dec = schmidt_decompose(psi, split)
+            left = dec.left_vectors.copy()
+            left[:, bad_child] *= factor
+            return SchmidtDecomposition(dec.lambdas, left, dec.right_vectors, split)
+
+        monkeypatch.setattr(branching, "schmidt_decompose", skewed)
+        tree, u, split = _branch_premeasured(7, 5)
+        with pytest.raises(DegenerateStateError):
+            interact_and_branch(tree, 0, u, split)
+        assert (tree.step_counter, len(tree.nodes)) == (0, 1)
+
+    def test_nan_child_rejected(self, monkeypatch):
+        # the constructor's Gram check would refuse the NaN, so it is bypassed
+        def poisoned(psi, split):
+            dec = schmidt_decompose(psi, split)
+            right = dec.right_vectors.copy()
+            right[0, 1] = math.nan
+            forged = object.__new__(SchmidtDecomposition)
+            for name in ("lambdas", "left_vectors", "split"):
+                object.__setattr__(forged, name, getattr(dec, name))
+            object.__setattr__(forged, "right_vectors", right)
+            return forged
+
+        monkeypatch.setattr(branching, "schmidt_decompose", poisoned)
+        tree = BranchTree(plus_device())
+        with pytest.raises(DegenerateStateError, match="norm nan deviates"):
+            interact_and_branch(tree, 0, premeasurement_unitary(2, 2), BipartiteSplit(2, 2))
 
     def test_non_orthonormal_vectors_rejected(self):
         dec = schmidt_decompose(make_state([1, 0, 0, 1], (2, 2)), BipartiteSplit(2, 2))

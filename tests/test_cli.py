@@ -33,6 +33,7 @@ from manyworlds.reporting import (
     ExperimentReport,
     SchmidtReport,
     _float_text,
+    _json_string,
     emit_report,
 )
 from manyworlds.schmidt import DecompositionError
@@ -598,6 +599,21 @@ class TestRunsAtDimensionCap:
         assert abs(math.fsum(result["weights"]) - 1.0) < 1e-10
         assert abs(result["total_entropy"] - math.fsum(result["branch_entropies"])) < 1e-10
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_branch_at_cap_peak_rss(self, tmp_path):
+        # 128 dense children would take 32 MiB; each keeps its Schmidt pair instead.
+        # VmHWM is this process's own peak; ru_maxrss would count the forking parent's.
+        child = ("import sys\nfrom manyworlds import cli\ntry:\n    cli.entrypoint()\n"
+                 "finally:\n    print(open('/proc/self/status').read(), file=sys.stderr)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", child, "branch", "--dim", "128",
+                               "--out", str(tmp_path / "branch.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak_kib = int(proc.stderr.split("VmHWM:")[1].split()[0])
+        assert peak_kib < 45 * 1024
+
 
 def _limit_address_space():
     # runs in the child only: what a cap admits must fit an 8 GB machine
@@ -760,6 +776,12 @@ class TestSerializationProperties:
                                   output_format="csv")
         emitted = emit_report(ExperimentReport(config, "0.5.0", payload))
         assert repr(read_csv_payload(emitted, payload)) == repr(payload)
+
+    # st.text() leaves out lone surrogates; the second alphabet admits them
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text() | st.text(st.characters(exclude_categories=())))
+    def test_strings_escape_as_json_does(self, text):
+        assert _json_string(text) == json.encoder.encode_basestring_ascii(text)
 
 
 # Oracles: the recursive serializer that emit_report replaced. The flat

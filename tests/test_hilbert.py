@@ -33,7 +33,6 @@ from manyworlds.hilbert import (
     _canonical_eigenbasis,
     _column_norms,
     _degenerate_clusters,
-    _fresh_states,
     _norm,
 )
 from manyworlds.schmidt import DecompositionError, SchmidtDecomposition
@@ -92,23 +91,6 @@ class TestMakeState:
             make_state(amps, [2])
 
 
-class TestFreshStates:
-    @pytest.mark.parametrize("bad_row", [0, 3, 6])
-    @pytest.mark.parametrize("factor", [1 + 2e-12, 1 - 2e-12])
-    def test_any_row_off_unit_norm_rejected(self, bad_row, factor):
-        rows = np.eye(7, 14, dtype=np.complex128)
-        rows[bad_row] *= factor
-        with pytest.raises(DegenerateStateError):
-            _fresh_states(rows, (7, 2))
-
-    def test_rows_become_read_only_views(self):
-        rows = np.eye(3, 6, dtype=np.complex128)
-        states = _fresh_states(rows, (3, 2))
-        assert [s.dims for s in states] == [(3, 2)] * 3
-        assert all(np.shares_memory(s.amplitudes, rows) for s in states)
-        assert not any(s.amplitudes.flags.writeable for s in states)
-
-
 NAN, INF = math.nan, math.inf
 COLUMN = np.eye(2)[:, :1]
 NON_FINITE_INPUTS = {
@@ -118,8 +100,6 @@ NON_FINITE_INPUTS = {
                                DegenerateStateError),
     "StateVector-nan": (lambda: StateVector(np.array([NAN, 1]), (2,)), DegenerateStateError),
     "StateVector-inf": (lambda: StateVector(np.array([INF, 0]), (2,)), DegenerateStateError),
-    "fresh_states-nan": (lambda: _fresh_states(np.array([[1, 0], [NAN, 0]], complex), (2,)),
-                         DegenerateStateError),
     "UnitaryOperator-nan": (lambda: UnitaryOperator(np.array([[NAN]]), 2), ShapeError),
     "UnitaryOperator-inf": (lambda: UnitaryOperator(np.array([[INF]]), 2), ShapeError),
     "UnitaryOperator-nan-entry": (lambda: UnitaryOperator(np.array([[1, 0], [0, NAN]]), 2),

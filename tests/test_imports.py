@@ -90,6 +90,18 @@ def test_version_and_help_load_no_numpy(args):
     assert not result["numpy"]
 
 
+def test_reports_load_no_json(tmp_path):
+    # reporting escapes its strings itself; json alone would cost a few ms a process
+    child = ("import sys\nfrom manyworlds import cli\n"
+             "print(cli.main(sys.argv[1:]), 'json' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, "zeno", "--k", "3",
+                           "--out", str(tmp_path / "report.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 @pytest.mark.parametrize("name", [n for n in manyworlds.__all__ if n != "__version__"])
 def test_every_export_is_its_layers_object(name):
     exported = getattr(manyworlds, name)

@@ -130,6 +130,21 @@ def test_closed_forms_do_not_depend_on_the_blas(args, env, golden, tmp_path):
     assert digests == golden[args], f"fixture made with {golden.get(BUILT_WITH)}"
 
 
+def test_cli_pins_one_blas_thread(tmp_path):
+    # above 64x64 the SVD's bits depend on the thread count; the CLI overrides it
+    reports = []
+    for threads in ("1", "2"):
+        child_env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        child_env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads}.json"
+        subprocess.run([sys.executable, "-m", "manyworlds", "schmidt", "--d-left", "64",
+                        "--d-right", "128", "--seed", "3", "--out", str(out)],
+                       env=child_env, check=True, capture_output=True, timeout=120)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 if __name__ == "__main__":
     import tempfile
 
