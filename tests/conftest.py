@@ -1,10 +1,22 @@
 """Helpers shared by the test modules."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from manyworlds.rng import rng_from_seed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """This process's environment with `src` on PYTHONPATH and `variables` set,
+    for a child process that imports manyworlds."""
+    env = {**os.environ, **variables}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

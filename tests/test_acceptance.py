@@ -5,14 +5,13 @@ with ``pytest tests/test_acceptance.py -s`` to see the lines on success.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
+from conftest import child_env
 from manyworlds import (
     BipartiteSplit,
     build_chain_tree,
@@ -29,7 +28,6 @@ from manyworlds import (
     evolution_walk,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 SWEEP_SPLITS = [(2, 2), (2, 8), (4, 4), (4, 6), (8, 8)]
 SWEEP_SIZE = 1000
 
@@ -201,13 +199,9 @@ def test_criterion_9_cli_determinism(tmp_path):
         outputs = []
         for run, threads in ((0, "1"), (1, "2")):
             out = tmp_path / f"{index}_{run}.out"
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-            env["OMP_NUM_THREADS"] = threads
-            env["OPENBLAS_NUM_THREADS"] = threads
             proc = subprocess.run(
                 [sys.executable, "-m", "manyworlds", *args, "--out", str(out)],
-                env=env,
+                env=child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads),
                 capture_output=True,
                 timeout=120,
             )

@@ -8,13 +8,13 @@ import sys
 import time
 import tracemalloc
 import typing
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from manyworlds import DIM_CAP, branching, cli, deterministic, schmidt
 from manyworlds.branching import CHAIN_DEVICES_CAP
 from manyworlds.cli import main, parse_config
@@ -37,8 +37,6 @@ from manyworlds.reporting import (
     emit_report,
 )
 from manyworlds.schmidt import DecompositionError
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 PAYLOAD_TYPES = {
     "schmidt": SchmidtReport,
@@ -568,6 +566,41 @@ class TestOutputs:
                          "reconstruction": [(dim * dim,)]}
 
 
+class TestProcessExit:
+    """A CLI process freezes its heap for teardown and still leaves through SystemExit."""
+
+    def test_closed_stdout_is_three(self):
+        # Python starts with sys.stdout = None when fd 1 is closed
+        proc = subprocess.run([sys.executable, "-m", "manyworlds", "zeno", "--k", "3"],
+                              env=child_env(), stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True,
+                              preexec_fn=lambda: os.close(1), timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == ["error: cannot write the report: stdout is closed"]
+
+    def test_finally_and_atexit_run_with_the_heap_frozen(self):
+        child = ("import atexit, gc, sys\nfrom manyworlds import cli\n"
+                 "atexit.register(lambda: print('atexit frozen', gc.get_freeze_count(),\n"
+                 "                              file=sys.stderr))\n"
+                 "try:\n    cli.entrypoint()\n"
+                 "finally:\n    print('finally ran', file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", child, "zeno", "--k", "3"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert '"experiment": "zeno"' in proc.stdout
+        *_, finally_line, atexit_line = proc.stderr.splitlines()
+        assert finally_line == "finally ran"
+        assert atexit_line.startswith("atexit frozen ")
+        assert int(atexit_line.split()[-1]) > 0
+
+    def test_profiler_still_prints_its_stats(self):
+        proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "manyworlds",
+                               "zeno", "--k", "3"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
 class TestRunsAtDimensionCap:
     """Runs whose total dimension is exactly DIM_CAP finish and keep the invariants."""
 
@@ -605,11 +638,9 @@ class TestRunsAtDimensionCap:
         # VmHWM is this process's own peak; ru_maxrss would count the forking parent's.
         child = ("import sys\nfrom manyworlds import cli\ntry:\n    cli.entrypoint()\n"
                  "finally:\n    print(open('/proc/self/status').read(), file=sys.stderr)")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", child, "branch", "--dim", "128",
                                "--out", str(tmp_path / "branch.json")],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         peak_kib = int(proc.stderr.split("VmHWM:")[1].split()[0])
         assert peak_kib < 45 * 1024
@@ -621,11 +652,9 @@ def _limit_address_space():
 
 
 def _run_limited(args, out):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "manyworlds", *args, "--out", str(out)],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=child_env(),
                           preexec_fn=_limit_address_space, timeout=600)
     return proc, time.perf_counter() - started
 

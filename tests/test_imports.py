@@ -9,17 +9,14 @@ numpy at all.
 
 import importlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import manyworlds
+from conftest import child_env
 from manyworlds import contracts, deterministic, experiments, hilbert, schmidt
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs the CLI, then prints the manyworlds modules and whether numpy is loaded
 # as the last line of stdout.
@@ -36,9 +33,7 @@ print("\\n" + json.dumps({
 
 
 def loaded(args: list[str]) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, *args], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -94,11 +89,9 @@ def test_reports_load_no_json(tmp_path):
     # reporting escapes its strings itself; json alone would cost a few ms a process
     child = ("import sys\nfrom manyworlds import cli\n"
              "print(cli.main(sys.argv[1:]), 'json' in sys.modules)")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", child, "zeno", "--k", "3",
                            "--out", str(tmp_path / "report.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 

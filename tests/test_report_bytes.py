@@ -21,7 +21,6 @@ load no numpy, and their bytes must not depend on the BLAS at all.
 import ctypes
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,11 +28,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import child_env
 from manyworlds import __version__
-from manyworlds.cli import parse_config, run_experiment
+from manyworlds.cli import EXPERIMENTS, parse_config, run_experiment
 
 FIXTURE = Path(__file__).with_name("report_bytes.json")
-SRC = Path(__file__).resolve().parents[1] / "src"
 BUILT_WITH = "_built_with"  # fixture key of the build record; not a case
 
 SCHMIDT_SPLITS = ((2, 2), (2, 8), (4, 4), (4, 6), (8, 8), (16, 16), (8, 32))
@@ -107,6 +106,19 @@ def test_report_bytes_unchanged(args, golden, tmp_path):
         f"fixture made with {golden.get(BUILT_WITH)}, this run has {build_info()}")
 
 
+# The first case of each subcommand, run as `python -m manyworlds` with its JSON
+# report read from the stdout pipe rather than written by run_experiment in-process.
+PROCESS_CASES = [next(case for case in CASES if case.split()[0] == name) for name in EXPERIMENTS]
+
+
+@pytest.mark.parametrize("args", PROCESS_CASES)
+def test_report_bytes_through_the_process(args, golden):
+    proc = subprocess.run([sys.executable, "-m", "manyworlds", *args.split()], env=child_env(),
+                          check=True, capture_output=True, timeout=120)
+    assert report_digest("json", proc.stdout) == golden[args]["json"], (
+        f"fixture made with {golden.get(BUILT_WITH)}")
+
+
 # Variables set on the child processes only; OpenBLAS reads them when it loads.
 BLAS_ENVS = {
     "default": {},
@@ -118,14 +130,12 @@ BLAS_ENVS = {
 @pytest.mark.parametrize("env", BLAS_ENVS)
 @pytest.mark.parametrize("args", ["zeno --k 1000 --seed 0", "worlds --model exponential --seed 0"])
 def test_closed_forms_do_not_depend_on_the_blas(args, env, golden, tmp_path):
-    child_env = {**os.environ, **BLAS_ENVS[env]}
-    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     digests = {}
     for fmt in ("json", "csv"):
         out = tmp_path / f"report.{fmt}"
         subprocess.run([sys.executable, "-m", "manyworlds", *args.split(), "--format", fmt,
-                        "--out", str(out)], env=child_env, check=True, capture_output=True,
-                       timeout=120)
+                        "--out", str(out)], env=child_env(**BLAS_ENVS[env]), check=True,
+                       capture_output=True, timeout=120)
         digests[fmt] = report_digest(fmt, out.read_bytes())
     assert digests == golden[args], f"fixture made with {golden.get(BUILT_WITH)}"
 
@@ -134,13 +144,11 @@ def test_cli_pins_one_blas_thread(tmp_path):
     # above 64x64 the SVD's bits depend on the thread count; the CLI overrides it
     reports = []
     for threads in ("1", "2"):
-        child_env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        child_env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         out = tmp_path / f"threads-{threads}.json"
         subprocess.run([sys.executable, "-m", "manyworlds", "schmidt", "--d-left", "64",
                         "--d-right", "128", "--seed", "3", "--out", str(out)],
-                       env=child_env, check=True, capture_output=True, timeout=120)
+                       env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                       check=True, capture_output=True, timeout=120)
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 
