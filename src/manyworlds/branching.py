@@ -8,10 +8,7 @@ one, so its own entropy clock restarts at zero; the ledger tracks the total
 entropy of the leaf ensemble and its per-branch decomposition at every step.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -55,7 +52,6 @@ class LedgerRecord(NamedTuple):
     branch_entropies: tuple[float, ...]
 
 
-@dataclass
 class BranchNode:
     """One world line: weight, factorized post-branching state, entropies.
 
@@ -65,17 +61,29 @@ class BranchNode:
     forms and caches the product state and drops the pair.
     """
 
+    __slots__ = ("id", "parent_id", "weight", "cumulative_weight", "relative_entropy",
+                 "birth_step", "children", "history", "_state", "_pair")
     id: int
     parent_id: Optional[int]
     weight: float              # relative to the parent at branching time
     cumulative_weight: float   # product of weights from the root
     relative_entropy: float    # -weight * ln(weight)
     birth_step: int
-    children: list[int] = field(default_factory=list)
-    history: list[tuple[int, float]] = field(default_factory=list)
-    _state: Optional[StateVector] = field(default=None, repr=False, compare=False)
-    _pair: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False)
+    children: list[int]
+    history: list[tuple[int, float]]
+
+    def __init__(self, id, parent_id, weight, cumulative_weight, relative_entropy,
+                 birth_step, children=None, history=None, _state=None, _pair=None):
+        self.id = id
+        self.parent_id = parent_id
+        self.weight = weight
+        self.cumulative_weight = cumulative_weight
+        self.relative_entropy = relative_entropy
+        self.birth_step = birth_step
+        self.children = [] if children is None else children
+        self.history = [] if history is None else history
+        self._state = _state
+        self._pair = _pair
 
     @property
     def state(self) -> StateVector:

@@ -9,8 +9,6 @@ by the library alone, each rule by the constructor or driver that owns it,
 and those checks still run before any computation starts.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import os
@@ -225,7 +223,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for `argv` (default: sys.argv[1:]).
+
+    Every subcommand is listed, but only the one `argv` names gets its
+    arguments, since adding those to all eight costs a few ms a process.
+    The top-level options take no value, so that name is the first token
+    that does not start with "-", and argparse dispatches to no other.
+    """
+    named = next((a for a in (sys.argv[1:] if argv is None else argv)
+                  if not a.startswith("-")), None)
     parser = _Parser(
         prog="manyworlds",
         description="Seeded branching-dynamics experiments with deterministic reports.",
@@ -234,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="experiment", required=True)
     for exp in EXPERIMENTS.values():
         sub = subparsers.add_parser(exp.name, help=exp.help)
+        if exp.name != named:
+            continue
         for param in exp.params + COMMON_PARAMS:
             sub.add_argument(param.flag, dest=param.name, type=param.convert, default=None,
                              choices=param.choices, help=param.help)
@@ -285,7 +294,7 @@ def parse_config(argv=None) -> ExperimentConfig:
     Each parameter takes its flag, else its config-file value, else its default;
     a required parameter given by neither is left out, for run_experiment to refuse.
     """
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     exp = EXPERIMENTS[args.experiment]
     params = exp.params + COMMON_PARAMS
 
@@ -355,6 +364,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
+def _note(line: str) -> None:
+    """Print one line on stderr; a closed or failing stderr does not change the exit code.
+
+    A stream that fails a write is closed: it would still hold the line,
+    and the interpreter's flush at exit would fail on it and exit 120.
+    """
+    stream = sys.stderr
+    if stream is None or stream.closed:  # None when started with fd 2 closed
+        return
+    try:
+        print(line, file=stream)
+    except OSError:
+        try:
+            stream.close()
+        except OSError:  # the close flushes the same line again
+            pass
+
+
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
@@ -362,26 +389,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help or --version has printed its text
         return exc.code
     except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 4
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        _note(f"error: out of memory: {exc}")
         return 4
     except (DecompositionError, ArithmeticError) as exc:
-        print(f"error: numerical self-check failed: {exc}", file=sys.stderr)
+        _note(f"error: numerical self-check failed: {exc}")
         return 5
     except (ConfigFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 3
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
 
     destination = config.output_path or "stdout"
-    print(
-        f"{config.experiment}: wrote {destination} ({report.wall_time_s:.3f} s)",
-        file=sys.stderr,
-    )
+    _note(f"{config.experiment}: wrote {destination} ({report.wall_time_s:.3f} s)")
     return 0
 
 

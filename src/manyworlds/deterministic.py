@@ -4,13 +4,10 @@ Both are plain `math` on Python floats. This module imports no numpy, so a
 `zeno` or `worlds` process loads none and their bytes depend on no BLAS.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .contracts import CapacityError
+from .contracts import CapacityError, Frozen
 
 POLARIZER_K_CAP = 2**20           # most lenses of one polarizer chain; one loop pass per stage
 
@@ -26,13 +23,17 @@ class ZenoReport(NamedTuple):
     seed: Optional[int] = None     # random mode only
 
 
-@dataclass(frozen=True)
-class WorldCountConfig:
-    universe_age_s: float = DEFAULT_UNIVERSE_AGE_S
-    planck_time_s: float = DEFAULT_PLANCK_TIME_S
-    growth_model: str = "linear"   # "linear" | "exponential"
+class WorldCountConfig(Frozen):
+    __slots__ = _fields = ("universe_age_s", "planck_time_s", "growth_model")
+    universe_age_s: float
+    planck_time_s: float
+    growth_model: str              # "linear" | "exponential"
 
-    def __post_init__(self):
+    def __init__(self, universe_age_s: float = DEFAULT_UNIVERSE_AGE_S,
+                 planck_time_s: float = DEFAULT_PLANCK_TIME_S, growth_model: str = "linear"):
+        object.__setattr__(self, "universe_age_s", universe_age_s)
+        object.__setattr__(self, "planck_time_s", planck_time_s)
+        object.__setattr__(self, "growth_model", growth_model)
         if not (0.0 < self.universe_age_s < math.inf and 0.0 < self.planck_time_s < math.inf):
             raise ValueError("ages and times must be positive and finite")
         if self.universe_age_s <= self.planck_time_s:

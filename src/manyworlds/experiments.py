@@ -15,8 +15,6 @@ full-branching walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs raise
 CapacityError before anything is drawn or summed.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Optional
 

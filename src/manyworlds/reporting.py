@@ -13,11 +13,10 @@ Reports are flat: every payload field and config parameter is a scalar
 is written value by value, each in the format its config names.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from .contracts import Frozen
 
 
 class ConfigError(ValueError):
@@ -59,24 +58,29 @@ class ChainReport(NamedTuple):
     leaf_count: int
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Frozen):
     """One experiment run; checks its format and seed, and the library its parameters when run."""
 
+    __slots__ = _fields = ("experiment", "parameters", "seed", "output_format", "output_path")
     experiment: str
     parameters: dict
     seed: int
-    output_format: str = "json"
-    output_path: str | None = None
+    output_format: str
+    output_path: str | None
 
-    def __post_init__(self):
+    def __init__(self, experiment: str, parameters: dict, seed: int,
+                 output_format: str = "json", output_path: str | None = None):
+        object.__setattr__(self, "experiment", experiment)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "output_format", output_format)
+        object.__setattr__(self, "output_path", output_path)
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if type(self.seed) is not int:  # a bool or a numpy integer is not an int
             raise ConfigError(f"seed expects int, got {type(self.seed).__name__} {self.seed!r}")
 
 
-@dataclass
 class ExperimentReport:
     """Config echo, tool version, result payload, and the measured wall time.
 
@@ -84,10 +88,18 @@ class ExperimentReport:
     otherwise reruns could never be byte-identical.
     """
 
+    __slots__ = ("config", "version", "result", "wall_time_s")
     config: ExperimentConfig
     version: str
     result: object
-    wall_time_s: float | None = None
+    wall_time_s: float | None
+
+    def __init__(self, config: ExperimentConfig, version: str, result: object,
+                 wall_time_s: float | None = None):
+        self.config = config
+        self.version = version
+        self.result = result
+        self.wall_time_s = wall_time_s
 
 
 # json.encoder's pure-Python ASCII rule; the json package itself is not loaded

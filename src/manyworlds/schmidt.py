@@ -9,11 +9,9 @@ amplitude matrix, so no reduced density matrix is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .contracts import DecompositionError
+from .contracts import DecompositionError, Frozen
 from .hilbert import (
     EPS_EIG,
     EPS_RANK,
@@ -27,8 +25,7 @@ from .hilbert import (
 )
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
+class SchmidtDecomposition(Frozen):
     """Descending coefficients with paired orthonormal subsystem vectors.
 
     ``left_vectors`` and ``right_vectors`` hold one column per retained
@@ -39,18 +36,20 @@ class SchmidtDecomposition:
     the residual check of schmidt_decompose and reconstruct.
     """
 
+    _fields = ("lambdas", "left_vectors", "right_vectors", "split")
+    __slots__ = (*_fields, "_amplitudes")
     lambdas: np.ndarray       # descending, each in (EPS_RANK, 1]
     left_vectors: np.ndarray  # (d_left, rank), orthonormal columns
     right_vectors: np.ndarray # (d_right, rank), orthonormal columns
     split: BipartiteSplit
-    _amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=np.float64)
-        left = np.asarray(self.left_vectors, dtype=np.complex128)
-        right = np.asarray(self.right_vectors, dtype=np.complex128)
+    def __init__(self, lambdas, left_vectors, right_vectors, split: BipartiteSplit):
+        lam = np.asarray(lambdas, dtype=np.float64)
+        left = np.asarray(left_vectors, dtype=np.complex128)
+        right = np.asarray(right_vectors, dtype=np.complex128)
         with np.errstate(invalid="ignore"):  # an inf entry makes a deviation NaN, refused
-            _check_decomposition(lam, left, right, self.split)
+            _check_decomposition(lam, left, right, split)
+        object.__setattr__(self, "split", split)
         _freeze_into(self, lam.copy(), left.copy(), right.copy())
 
     @property

@@ -1,7 +1,7 @@
-import dataclasses
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -185,7 +185,10 @@ class TestExitCodes:
         ["zeno", "--k", "1", "--format", "xml"],
         ["frobnicate"],
         [],
-    ], ids=["bad-int", "bad-format", "unknown-subcommand", "no-subcommand"])
+        ["zeno", "--k", "1", "--bogus", "2"],
+        ["zeno", "--k", "1", "--dim", "2"],
+    ], ids=["bad-int", "bad-format", "unknown-subcommand", "no-subcommand", "unknown-flag",
+            "another-subcommands-flag"])
     def test_argument_errors_print_one_line(self, capsys, args):
         assert main(args) == 2
         captured = capsys.readouterr()
@@ -199,6 +202,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out.startswith(("usage: manyworlds", "manyworlds 0.8.0"))
         assert captured.err == ""
+
+    @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+    def test_subcommand_help_names_its_own_flags(self, capsys, experiment):
+        assert main([experiment, "--help"]) == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        own = {p.flag for p in cli.EXPERIMENTS[experiment].params}
+        assert flags == own | {"--seed", "--format", "--out", "--config", "--help"}
+
+    def test_help_lists_every_subcommand(self, capsys):
+        assert main(["--help"]) == 0
+        listed = capsys.readouterr().out.split("positional arguments:")[1]
+        assert all(f"\n    {name} " in listed for name in cli.EXPERIMENTS)
 
     def test_library_caller_gets_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment 'frobnicate'"):
@@ -578,6 +593,29 @@ class TestProcessExit:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines() == ["error: cannot write the report: stdout is closed"]
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    @pytest.mark.parametrize("args, code, stdout", [
+        (["zeno", "--k", "3", "--format", "csv"], 0,
+         "n_intermediate,transmission_probability,mode,trials,seed\n"
+         "3,0.53079004294495524,deterministic-polarizer,,\n"),
+        (["zeno", "--k", "-1"], 2, ""),
+    ], ids=["report", "config-error"])
+    def test_unusable_stderr_keeps_the_exit_code(self, tmp_path, args, code, stdout, stderr,
+                                                 buffered):
+        # With fd 2 closed Python starts with sys.stderr None, and print would
+        # fall back to stdout. On a read-only fd 2 each write fails with EBADF,
+        # and a buffered line would fail again in the flush at exit.
+        (tmp_path / "ro").touch()
+        with open(tmp_path / "ro", "rb") as read_only:
+            proc = subprocess.run(
+                [sys.executable, "-m", "manyworlds", *args],
+                env=child_env(PYTHONUNBUFFERED="" if buffered else "1"),
+                stdout=subprocess.PIPE, text=True, timeout=120,
+                **({"preexec_fn": lambda: os.close(2)} if stderr == "closed"
+                   else {"stderr": read_only}))
+        assert (proc.returncode, proc.stdout) == (code, stdout)
+
     def test_finally_and_atexit_run_with_the_heap_frozen(self):
         child = ("import atexit, gc, sys\nfrom manyworlds import cli\n"
                  "atexit.register(lambda: print('atexit frozen', gc.get_freeze_count(),\n"
@@ -896,7 +934,8 @@ class TestFlatEmitterMatchesRecursiveOracle:
         version = data.draw(st.sampled_from(["0.5.0", "x\u00e9"]))
         for output_format in ("json", "csv"):
             report = ExperimentReport(
-                dataclasses.replace(config, output_format=output_format), version, payload)
+                ExperimentConfig(config.experiment, config.parameters, config.seed,
+                                 output_format, config.output_path), version, payload)
             assert emit_report(report) == emit_report_oracle(report)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

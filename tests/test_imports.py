@@ -28,6 +28,7 @@ print("\\n" + json.dumps({
     "code": code,
     "layers": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("manyworlds.")),
     "numpy": "numpy" in sys.modules,
+    "codegen": [m for m in ("dataclasses", "inspect") if m in sys.modules],
 }))
 """
 
@@ -83,6 +84,14 @@ def test_version_and_help_load_no_numpy(args):
     result = loaded(args)
     assert set(result["layers"]) == FRONT_END
     assert not result["numpy"]
+
+
+@pytest.mark.parametrize("args", [["--version"], ["--help"], ["zeno", "--k", "3"], ["worlds"]])
+def test_front_end_defines_its_classes_without_code_generation(tmp_path, args):
+    # the value classes are plain __slots__ classes; a dataclass loads both
+    # modules and execs generated methods at import
+    out = [] if args[0].startswith("-") else ["--out", str(tmp_path / "report.json")]
+    assert loaded(args + out)["codegen"] == []
 
 
 def test_reports_load_no_json(tmp_path):
