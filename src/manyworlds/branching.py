@@ -8,6 +8,7 @@ one, so its own entropy clock restarts at zero; the ledger tracks the total
 entropy of the leaf ensemble and its per-branch decomposition at every step.
 """
 
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -166,8 +167,14 @@ def premeasurement_unitary(n_outcomes: int, device_dim: int) -> UnitaryOperator:
     return _conditional_shift(n_outcomes, 1, device_dim)
 
 
+@functools.lru_cache(maxsize=32)
 def _conditional_shift(n_outcomes: int, middle_dim: int, device_dim: int) -> UnitaryOperator:
-    """Device-shift gather with an untouched register between object and device."""
+    """Device-shift gather with an untouched register between object and device.
+
+    Built and checked once per shape: the operator is immutable, so every
+    caller shares it. The cache holds at most 32 gathers of at most DIM_CAP
+    indices each (4 MiB).
+    """
     if n_outcomes < 1 or device_dim < 1 or middle_dim < 1:
         raise ShapeError("register dimensions must be >= 1")
     if device_dim < n_outcomes:

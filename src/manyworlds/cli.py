@@ -357,29 +357,39 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     data = emit_report(report)
     if config.output_path is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        stream = sys.stdout
+        try:
+            stream.buffer.write(data)
+            stream.buffer.flush()
+        except OSError:
+            _close(stream)
+            raise
     else:
         Path(config.output_path).write_bytes(data)
     return report
 
 
-def _note(line: str) -> None:
-    """Print one line on stderr; a closed or failing stderr does not change the exit code.
+def _close(stream) -> None:
+    """Close a standard stream that failed a write.
 
-    A stream that fails a write is closed: it would still hold the line,
-    and the interpreter's flush at exit would fail on it and exit 120.
+    It would still hold the bytes, and the interpreter's flush at exit would
+    fail on them again and exit 120.
     """
+    try:
+        stream.close()
+    except OSError:  # the close flushes the same bytes again
+        pass
+
+
+def _note(line: str) -> None:
+    """Print one line on stderr; a closed or failing stderr does not change the exit code."""
     stream = sys.stderr
     if stream is None or stream.closed:  # None when started with fd 2 closed
         return
     try:
         print(line, file=stream)
     except OSError:
-        try:
-            stream.close()
-        except OSError:  # the close flushes the same line again
-            pass
+        _close(stream)
 
 
 def main(argv=None) -> int:
@@ -387,6 +397,11 @@ def main(argv=None) -> int:
         config = parse_config(argv)
         report = run_experiment(config)
     except SystemExit as exc:  # --help or --version has printed its text
+        if sys.stdout is not None:
+            try:
+                sys.stdout.flush()
+            except OSError:  # argparse ignores a failed write of that text; so does this
+                _close(sys.stdout)
         return exc.code
     except CapacityError as exc:
         _note(f"error: {exc}")

@@ -334,13 +334,16 @@ def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray
     vectors = vectors.copy()
     for lo, hi in _degenerate_clusters(values):
         vectors[:, lo:hi] = _canonical_cluster_basis(vectors[:, lo:hi])
-    significant = np.abs(vectors) > 1e-9
-    rows = significant.argmax(axis=0)  # first significant row, or 0 if there is none
-    cols = np.arange(vectors.shape[1])
-    has_pivot = significant[rows, cols]
-    # unit columns always have a pivot; then all are scaled through a view
-    picked = slice(None) if has_pivot.all() else cols[has_pivot]
-    pivots = vectors[rows[picked], cols[picked]]
+    if (np.abs(vectors[0]) > 1e-9).all():  # every pivot in row 0, usual for a solver's basis
+        picked, pivots = slice(None), vectors[0]
+    else:
+        significant = np.abs(vectors) > 1e-9
+        rows = significant.argmax(axis=0)  # first significant row, or 0 if there is none
+        cols = np.arange(vectors.shape[1])
+        has_pivot = significant[rows, cols]
+        # unit columns always have a pivot; then all are scaled through a view
+        picked = slice(None) if has_pivot.all() else cols[has_pivot]
+        pivots = vectors[rows[picked], cols[picked]]
     factors = pivots.conj() / np.hypot(pivots.real, pivots.imag)
     # each factor broadcast down its column, as in `column * factor`: a
     # (1, 1) product with the factors along the last axis rounds differently
@@ -350,11 +353,12 @@ def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray
 
 def _degenerate_clusters(descending: np.ndarray) -> list[tuple[int, int]]:
     """Index ranges [lo, hi) of two or more eigenvalues linked by gaps < DEGENERACY_GAP."""
-    # descending[i + 1] - descending[i] is minus the gap exactly (np.diff's formula)
-    linked = descending[1:] - descending[:-1] > -DEGENERACY_GAP
-    if not linked.any():
+    values = descending.tolist()
+    # later - earlier is minus the gap exactly (np.diff's formula)
+    linked = [later - earlier > -DEGENERACY_GAP for earlier, later in zip(values, values[1:])]
+    if not any(linked):
         return []
-    edges = [0, *(np.flatnonzero(~linked) + 1).tolist(), descending.size]
+    edges = [0, *(i + 1 for i, link in enumerate(linked) if not link), len(values)]
     return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi - lo > 1]
 
 

@@ -63,9 +63,10 @@ def _check_decomposition(lam: np.ndarray, left: np.ndarray, right: np.ndarray,
     rank, max_rank = lam.size, min(split.d_left, split.d_right)
     if lam.ndim != 1 or not 1 <= rank <= max_rank:
         raise DecompositionError(f"{lam.shape} coefficients: rank not in [1, {max_rank}]")
-    if (lam[1:] > lam[:-1]).any():
+    values = lam.tolist()  # at most 128 entries; plain floats beat array temporaries when few
+    if any(later > earlier for earlier, later in zip(values, values[1:])):
         raise DecompositionError("coefficients must be sorted descending")
-    if (lam <= EPS_RANK).any():
+    if any(value <= EPS_RANK for value in values):
         raise DecompositionError("retained coefficient at or below the zero threshold")
     if not abs(lam.sum() - 1.0) <= EPS_EIG:
         raise DecompositionError(f"coefficients sum to {float(lam.sum())!r}, not 1")
@@ -127,13 +128,13 @@ def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecompo
     m = psi.amplitudes.reshape(split.d_left, split.d_right)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     values = s**2
-    rank = int(np.count_nonzero(values > EPS_RANK))  # a prefix: s is descending
+    rank = sum(value > EPS_RANK for value in values.tolist())  # a prefix: s is descending
     lambdas = values[:rank]
     left = _canonical_eigenbasis(lambdas, u[:, :rank])
 
     raw_right = m.T @ left.conj()            # column n: <left_n| psi, a right-side vector
     norms = _column_norms(raw_right)
-    if not (norms**2 > EPS_RANK).all():
+    if not all(norm * norm > EPS_RANK for norm in norms.tolist()):  # numpy's norms**2, exactly
         raise DecompositionError(
             "retained coefficient vanished during pairing; state is numerically pathological"
         )
@@ -164,11 +165,12 @@ def spectra_gap(psi: StateVector, dec: SchmidtDecomposition) -> float:
     dec.split.require_match(psi)
     m = psi.amplitudes.reshape(dec.split.d_left, dec.split.d_right)
     reduced = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.T @ m.conj()
-    eigen = np.linalg.eigvalsh(reduced)[::-1]
-    a, b = eigen[eigen > EPS_RANK], dec.lambdas  # dec keeps only entries above EPS_RANK
-    k = min(a.size, b.size)
-    tail = a[k:] if a.size > k else b[k:]  # entries above EPS_RANK are positive
-    return float(max(np.abs(a[:k] - b[:k]).max(initial=0.0), tail.max(initial=0.0)))
+    eigen = np.linalg.eigvalsh(reduced).tolist()[::-1]
+    a = [value for value in eigen if value > EPS_RANK]
+    b = dec.lambdas.tolist()  # dec keeps only entries above EPS_RANK
+    k = min(len(a), len(b))
+    tail = a[k:] if len(a) > k else b[k:]  # entries above EPS_RANK are positive
+    return max(0.0, *(abs(x - y) for x, y in zip(a, b)), *tail)
 
 
 def reconstruct(dec: SchmidtDecomposition) -> StateVector:

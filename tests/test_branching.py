@@ -34,6 +34,7 @@ from manyworlds import (
 )
 from manyworlds import branching
 from manyworlds.branching import _conditional_shift, _preparation_unitary
+from manyworlds.cli import main
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -441,7 +442,46 @@ class TestOperatorMemory:
         assert _peak_bytes(build_chain_tree, 2, 10) < 4 * 2**20
 
     def test_premeasurement_peak(self):
+        _conditional_shift.cache_clear()  # measure the build, not a cache hit
         assert _peak_bytes(premeasurement_unitary, 32, 32) < 2**20
+
+
+class TestSharedOperator:
+    """Each conditional-shift gather is built and checked once per shape and then shared."""
+
+    def test_repeated_calls_return_one_read_only_operator(self):
+        first = premeasurement_unitary(7, 7)
+        assert premeasurement_unitary(7, 7) is first
+        assert not first.entries.flags.writeable and not first.perm.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.perm[0] = 1
+
+    def test_checked_once_per_shape(self, monkeypatch):
+        _conditional_shift.cache_clear()
+        checks = []
+        check = UnitaryOperator.__post_init__
+        monkeypatch.setattr(UnitaryOperator, "__post_init__",
+                            lambda self: checks.append(self.dim) or check(self))
+        for _ in range(3):
+            for dim in (2, 3, 2):
+                premeasurement_unitary(dim, dim)
+        assert checks == [4, 9]
+
+    def test_refusals_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(PointerOverflowError):
+                premeasurement_unitary(3, 2)
+
+    @pytest.mark.parametrize("args", [["branch", "--dim", "6"], ["branch", "--dim", "16"],
+                                      ["chain", "--dim", "2", "--devices", "6"],
+                                      ["chain", "--dim", "3", "--devices", "3"]],
+                             ids=["branch-6", "branch-16", "chain-2x6", "chain-3x3"])
+    def test_reports_same_bytes_cold_and_warm(self, args, tmp_path, capsys):
+        _conditional_shift.cache_clear()
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        for out in (cold, warm):  # the second run finds every gather cached
+            assert main([*args, "--seed", "11", "--out", str(out)]) == 0
+        assert cold.read_bytes() == warm.read_bytes()
 
 
 def _branch_premeasured(dim, seed):

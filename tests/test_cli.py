@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -615,6 +616,22 @@ class TestProcessExit:
                 **({"preexec_fn": lambda: os.close(2)} if stderr == "closed"
                    else {"stderr": read_only}))
         assert (proc.returncode, proc.stdout) == (code, stdout)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args, code, stderr", [
+        (["zeno", "--k", "3"], 3, [f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"]),
+        (["--version"], 0, []),
+    ], ids=["report", "version"])
+    def test_unwritable_stdout_keeps_the_exit_code(self, tmp_path, args, code, stderr, buffered):
+        # Each write to a read-only fd 1 fails with EBADF; a buffered stdout
+        # would still hold the bytes, fail the flush at exit and exit 120.
+        (tmp_path / "ro").touch()
+        with open(tmp_path / "ro", "rb") as read_only:
+            proc = subprocess.run(
+                [sys.executable, "-m", "manyworlds", *args],
+                env=child_env(PYTHONUNBUFFERED="" if buffered else "1"),
+                stdout=read_only, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr.splitlines()) == (code, stderr)
 
     def test_finally_and_atexit_run_with_the_heap_frozen(self):
         child = ("import atexit, gc, sys\nfrom manyworlds import cli\n"

@@ -45,9 +45,12 @@ def padded_gap(a, b):
 
 
 @st.composite
-def ranked_matrices(draw):
-    """A seed and a d_left x d_right amplitude matrix of Schmidt rank r, up to 16 x 16."""
-    d_left, d_right = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+def ranked_matrices(draw, dims=None):
+    """A seed and a d_left x d_right amplitude matrix of Schmidt rank r, up to 16 x 16.
+
+    `dims`, when given, fixes (d_left, d_right).
+    """
+    d_left, d_right = dims or (draw(st.integers(1, 16)), draw(st.integers(1, 16)))
     rank = draw(st.integers(1, min(d_left, d_right)))
     seed = draw(st.integers(0, 2**32 - 1))
     z = np.random.default_rng(seed).standard_normal((d_left + d_right, rank, 2))
@@ -151,7 +154,31 @@ class TestRank:
             assert (dec.rank == 1) == is_product
 
 
+def spectra_gap_on_arrays(psi, dec):
+    """spectra_gap's comparison done on numpy arrays, as it was before it took plain floats."""
+    m = psi.amplitudes.reshape(dec.split.d_left, dec.split.d_right)
+    reduced = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.T @ m.conj()
+    eigen = np.linalg.eigvalsh(reduced)[::-1]
+    a, b = eigen[eigen > EPS_RANK], dec.lambdas
+    k = min(a.size, b.size)
+    tail = a[k:] if a.size > k else b[k:]
+    return float(max(np.abs(a[:k] - b[:k]).max(initial=0.0), tail.max(initial=0.0)))
+
+
 class TestSpectraGap:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_array_formula_bit_for_bit(self, data):
+        # the decomposition of the state itself, or of another state on the
+        # same split, whose rank may be lower or higher, so both tails occur
+        _, m = data.draw(ranked_matrices())
+        _, other = data.draw(st.one_of(st.just((None, m)), ranked_matrices(m.shape)))
+        split = BipartiteSplit(*m.shape)
+        psi = make_state(m.reshape(-1), m.shape)
+        dec = schmidt_decompose(make_state(other.reshape(-1), m.shape), split)
+        ours, theirs = spectra_gap(psi, dec), spectra_gap_on_arrays(psi, dec)
+        assert type(ours) is float and ours.hex() == theirs.hex()
+
     def test_bell_gap_zero(self):
         psi = bell_state()
         assert spectra_gap(psi, schmidt_decompose(psi, BipartiteSplit(2, 2))) < 1e-12
@@ -299,13 +326,32 @@ def _rotated_left(u, s, vh):
     return u, s, vh
 
 
+def _set(array, index, value):
+    array[index] = value
+    return array
+
+
+def _swapped_last_pair(s):
+    s[[-2, -1]] = s[[-1, -2]]
+    return s
+
+
 # Each row corrupts one output of the SVD that schmidt_decompose takes, so
 # that exactly one check of its fresh decomposition path has to catch it.
+# The 4 x 6 state they decompose has four coefficients, all kept.
 CORRUPT_SVD = {
     "left-not-orthonormal": (lambda u, s, vh: (u * 1.5, s, vh), "left vectors not orthonormal"),
     "right-not-orthonormal": (_rotated_left, "right vectors not orthonormal"),
     "unsorted": (lambda u, s, vh: (u, s[::-1].copy(), vh), "sorted descending"),
+    "ascending-pair": (lambda u, s, vh: (u, _swapped_last_pair(s), vh), "sorted descending"),
     "sum-not-one": (lambda u, s, vh: (u, s * 1.01, vh), "sum to"),
+    # the NaN is not counted above EPS_RANK but sits inside the kept prefix;
+    # the order and threshold checks let it through, the sum check does not
+    "nan-coefficient": (lambda u, s, vh: (u, _set(s, 1, math.nan), vh), "sum to nan"),
+    # a NaN left entry makes its whole paired right vector NaN, so the
+    # pairing check refuses it before any Gram matrix is formed
+    "nan-left-entry": (lambda u, s, vh: (_set(u, (2, 1), math.nan), s, vh),
+                       "vanished during pairing"),
     "entry-at-threshold": (_threshold_entry, "at or below the zero threshold"),
 }
 
@@ -337,6 +383,18 @@ class TestFreshDecompositionChecks:
         assert len(err) == 1 and err[0].startswith("error: numerical self-check failed: ")
         assert corrupted in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_nan_gram_entry_rejected(self, side):
+        # no corrupted SVD reaches a Gram check with a NaN (see nan-left-entry),
+        # so the arrays go through the validating constructor, which runs the same checks
+        split = BipartiteSplit(4, 6)
+        dec = schmidt_decompose(haar_random_state(24, 3), split)
+        vectors = {"left": dec.left_vectors.copy(), "right": dec.right_vectors.copy()}
+        vectors[side][1, 2] = complex(math.nan, 0.0)
+        with pytest.raises(DecompositionError,
+                           match=rf"{side} vectors not orthonormal \(deviation nan\)"):
+            SchmidtDecomposition(dec.lambdas, vectors["left"], vectors["right"], split)
 
     @settings(max_examples=100, deadline=None)
     @given(case=ranked_matrices())
