@@ -397,7 +397,7 @@ def main(argv=None) -> int:
         config = parse_config(argv)
         report = run_experiment(config)
     except SystemExit as exc:  # --help or --version has printed its text
-        if sys.stdout is not None:
+        if sys.stdout is not None and not sys.stdout.closed:
             try:
                 sys.stdout.flush()
             except OSError:  # argparse ignores a failed write of that text; so does this

@@ -334,16 +334,13 @@ def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray
     vectors = vectors.copy()
     for lo, hi in _degenerate_clusters(values):
         vectors[:, lo:hi] = _canonical_cluster_basis(vectors[:, lo:hi])
-    if (np.abs(vectors[0]) > 1e-9).all():  # every pivot in row 0, usual for a solver's basis
-        picked, pivots = slice(None), vectors[0]
-    else:
-        significant = np.abs(vectors) > 1e-9
-        rows = significant.argmax(axis=0)  # first significant row, or 0 if there is none
-        cols = np.arange(vectors.shape[1])
-        has_pivot = significant[rows, cols]
-        # unit columns always have a pivot; then all are scaled through a view
-        picked = slice(None) if has_pivot.all() else cols[has_pivot]
-        pivots = vectors[rows[picked], cols[picked]]
+    significant = np.abs(vectors) > 1e-9
+    rows = significant.argmax(axis=0)  # first significant row, or 0 if there is none
+    cols = np.arange(vectors.shape[1])
+    has_pivot = significant[rows, cols]
+    # unit columns always have a pivot; then all are scaled through a view
+    picked = slice(None) if has_pivot.all() else cols[has_pivot]
+    pivots = vectors[rows[picked], cols[picked]]
     factors = pivots.conj() / np.hypot(pivots.real, pivots.imag)
     # each factor broadcast down its column, as in `column * factor`: a
     # (1, 1) product with the factors along the last axis rounds differently

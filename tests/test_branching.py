@@ -439,6 +439,7 @@ class TestOperatorMemory:
     """Couplings cost O(dim) memory; a dense operator would cost 16 * dim**2 bytes."""
 
     def test_chain_tree_peak(self):
+        _conditional_shift.cache_clear()  # measure the build, not a cache hit
         assert _peak_bytes(build_chain_tree, 2, 10) < 4 * 2**20
 
     def test_premeasurement_peak(self):

@@ -417,15 +417,6 @@ def degenerate_clusters_oracle(descending):
             lo = i
 
 
-def degenerate_clusters_on_arrays(descending):
-    """_degenerate_clusters done on numpy arrays, as it was before it compared plain floats."""
-    linked = descending[1:] - descending[:-1] > -DEGENERACY_GAP
-    if not linked.any():
-        return []
-    edges = [0, *(np.flatnonzero(~linked) + 1).tolist(), descending.size]
-    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi - lo > 1]
-
-
 def fix_global_phase_oracle(vec):
     significant = np.flatnonzero(np.abs(vec) > 1e-9)
     if significant.size == 0:
@@ -501,27 +492,20 @@ class TestBulkCanonicalization:
         expected = canonical_eigenbasis_oracle(values, vectors)
         assert same_bits(_canonical_eigenbasis(values, vectors), expected)
 
-    @settings(max_examples=300, deadline=None)
-    @given(gaps=st.lists(GAPS, max_size=12))
-    def test_cluster_ranges_match_gap_walk(self, gaps):
-        values = 1.0 - np.cumsum([0.0, *gaps])[: len(gaps) + (1 if gaps else 0)]
-        values = values if gaps else np.array([])
-        expected = [(lo, hi) for lo, hi in degenerate_clusters_oracle(values) if hi - lo > 1]
-        assert _degenerate_clusters(values) == expected
-
     @settings(max_examples=500, deadline=None)
     @given(top=st.floats(1e-10, 1.0), steps=st.lists(st.one_of(
-        st.sampled_from([0.0, DEGENERACY_GAP]),
+        GAPS,
         st.integers(-3, 3).map(lambda ulps: DEGENERACY_GAP + ulps * 2.0**-82),  # 1e-9 +- ulps
         st.floats(0.0, 3e-9)), max_size=12))
-    def test_cluster_ranges_match_the_array_formula(self, top, steps):
-        # each gap is rounded again by the subtraction at the value's own
-        # magnitude, so the differences fall at and around DEGENERACY_GAP
+    def test_cluster_ranges_match_gap_walk(self, top, steps):
+        # each step is rounded again by the subtraction at the value's own
+        # magnitude, so the gaps fall at and around DEGENERACY_GAP
         values = [top]
         for step in steps:
             values.append(values[-1] - step)
-        values = np.array(values)
-        assert _degenerate_clusters(values) == degenerate_clusters_on_arrays(values)
+        values = np.array(values if steps else [])
+        expected = [(lo, hi) for lo, hi in degenerate_clusters_oracle(values) if hi - lo > 1]
+        assert _degenerate_clusters(values) == expected
 
     def test_input_is_not_modified(self):
         vectors = np.array([[1j, 0.0], [0.0, -1.0]])
