@@ -6,7 +6,8 @@ self-check failed (a decomposition or the polarizer chain missed its own
 tolerance). Every error prints one `error:` line on stderr. Flags override
 config-file values, which override defaults. Parameter values are validated
 by the library alone, each rule by the constructor or driver that owns it,
-and those checks still run before any computation starts.
+and those checks still run before any computation starts. Only `entrypoint`
+closes a standard stream: one whose flush fails at exit.
 """
 
 import argparse
@@ -330,7 +331,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     config.parameters must name every parameter of the experiment and no
     other, each with a value of the parameter's exact type (a bool is not an
-    int); parse_config fills in the defaults.
+    int); parse_config fills in the defaults. A failed write raises OSError
+    and leaves the stream as it is, to its owner.
     """
     exp = EXPERIMENTS.get(config.experiment)
     if exp is None:
@@ -357,28 +359,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     data = emit_report(report)
     if config.output_path is None:
-        stream = sys.stdout
-        try:
-            stream.buffer.write(data)
-            stream.buffer.flush()
-        except OSError:
-            _close(stream)
-            raise
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
     else:
         Path(config.output_path).write_bytes(data)
     return report
-
-
-def _close(stream) -> None:
-    """Close a standard stream that failed a write.
-
-    It would still hold the bytes, and the interpreter's flush at exit would
-    fail on them again and exit 120.
-    """
-    try:
-        stream.close()
-    except OSError:  # the close flushes the same bytes again
-        pass
 
 
 def _note(line: str) -> None:
@@ -389,7 +374,7 @@ def _note(line: str) -> None:
     try:
         print(line, file=stream)
     except OSError:
-        _close(stream)
+        pass
 
 
 def main(argv=None) -> int:
@@ -397,11 +382,6 @@ def main(argv=None) -> int:
         config = parse_config(argv)
         report = run_experiment(config)
     except SystemExit as exc:  # --help or --version has printed its text
-        if sys.stdout is not None and not sys.stdout.closed:
-            try:
-                sys.stdout.flush()
-            except OSError:  # argparse ignores a failed write of that text; so does this
-                _close(sys.stdout)
         return exc.code
     except CapacityError as exc:
         _note(f"error: {exc}")
@@ -433,6 +413,18 @@ def entrypoint() -> None:
     """
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     code = main()
+    # A standard stream whose write failed still holds its bytes, and the
+    # interpreter's flush at exit would fail on them again and exit 120.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None or stream.closed:  # None when started with its fd closed
+            continue
+        try:
+            stream.flush()
+        except OSError:
+            try:
+                stream.close()
+            except OSError:  # the close flushes the same bytes again
+                pass
     # Interpreter teardown runs full collections over every tracked object,
     # 21-23k once numpy is loaded, at 4-8 ms a collection. Frozen objects are
     # out of their reach, and SystemExit still runs finally blocks, atexit

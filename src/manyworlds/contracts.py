@@ -9,6 +9,7 @@ Every layer imports them from here.
 from __future__ import annotations
 
 import math
+import operator
 
 DIM_CAP = 2**14     # hard cap on the total dimension of a state
 
@@ -67,7 +68,10 @@ class Frozen:
 
 
 def _check_dims(dims) -> tuple[int, ...]:
-    out = tuple(map(int, dims))
+    try:
+        out = tuple(map(operator.index, dims))  # an int or a numpy integer, never truncated
+    except TypeError:
+        raise ShapeError(f"subsystem dimensions must be integers, got {dims!r}") from None
     if not out:
         raise ShapeError("dims must name at least one subsystem")
     if min(out) < 1:

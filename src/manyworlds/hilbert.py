@@ -11,6 +11,7 @@ they are safe to share across workers.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Literal
 
 import numpy as np
@@ -155,6 +156,10 @@ class BipartiteSplit(Frozen):
             raise ShapeError(f"split factors must be >= 1, got {self}")
         if self.total > DIM_CAP:
             raise CapacityError(f"total dimension {self.total} exceeds the cap {DIM_CAP}")
+        try:  # after the cap, which an infinite factor exceeds
+            operator.index(d_left), operator.index(d_right)
+        except TypeError:
+            raise ShapeError(f"split factors must be integers, got {self}") from None
 
     @property
     def total(self) -> int:

@@ -13,7 +13,6 @@ Reports are flat: every payload field and config parameter is a scalar
 is written value by value, each in the format its config names.
 """
 
-import re
 from typing import NamedTuple
 
 from .contracts import Frozen
@@ -102,28 +101,12 @@ class ExperimentReport:
         self.wall_time_s = wall_time_s
 
 
-# json.encoder's pure-Python ASCII rule; the json package itself is not loaded
-_ESCAPE_ASCII = re.compile(r'([\\"]|[^\ -~])')
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
-            "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(match: re.Match) -> str:
-    char = match.group(0)
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    n = ord(char)
-    if n < 0x10000:
-        return "\\u%04x" % n
-    n -= 0x10000  # above the BMP: a surrogate pair
-    return "\\u%04x\\u%04x" % (0xD800 | (n >> 10), 0xDC00 | (n & 0x3FF))
-
-
 def _json_string(text: str) -> str:
     """`text` as an ASCII-only JSON string, as json.encoder.encode_basestring_ascii writes it."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return '"' + text + '"'  # nothing to escape; skips the slower regex pass
-    return '"' + _ESCAPE_ASCII.sub(_escape, text) + '"'
+        return '"' + text + '"'  # nothing to escape: every string a CLI report holds
+    from json.encoder import encode_basestring_ascii  # loads json only for such a string
+    return encode_basestring_ascii(text)
 
 
 def _float_text(value: float) -> str:

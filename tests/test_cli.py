@@ -621,7 +621,8 @@ class TestProcessExit:
     @pytest.mark.parametrize("args, code, stderr", [
         (["zeno", "--k", "3"], 3, [f"error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"]),
         (["--version"], 0, []),
-    ], ids=["report", "version"])
+        (["--help"], 0, []),
+    ], ids=["report", "version", "help"])
     def test_unwritable_stdout_keeps_the_exit_code(self, tmp_path, args, code, stderr, buffered):
         # Each write to a read-only fd 1 fails with EBADF; a buffered stdout
         # would still hold the bytes, fail the flush at exit and exit 120.
@@ -632,6 +633,25 @@ class TestProcessExit:
                 env=child_env(PYTHONUNBUFFERED="" if buffered else "1"),
                 stdout=read_only, stderr=subprocess.PIPE, text=True, timeout=120)
         assert (proc.returncode, proc.stderr.splitlines()) == (code, stderr)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args, code", [
+        (["zeno", "--k", "3"], 3),
+        (["zeno", "--k", "-1"], 2),
+        (["--version"], 0),
+        (["--help"], 0),
+    ], ids=["report", "config-error", "version", "help"])
+    def test_one_unwritable_fd_for_both_streams_keeps_the_exit_code(self, tmp_path, args, code,
+                                                                    buffered):
+        # stdout and stderr on one read-only fd: the report or help text fails,
+        # and so does the error line that would tell of it
+        (tmp_path / "ro").touch()
+        with open(tmp_path / "ro", "rb") as read_only:
+            proc = subprocess.run(
+                [sys.executable, "-m", "manyworlds", *args],
+                env=child_env(PYTHONUNBUFFERED="" if buffered else "1"),
+                stdout=read_only, stderr=read_only, timeout=120)
+        assert proc.returncode == code
 
     def test_finally_and_atexit_run_with_the_heap_frozen(self):
         child = ("import atexit, gc, sys\nfrom manyworlds import cli\n"

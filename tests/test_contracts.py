@@ -1,16 +1,25 @@
-"""The immutable value classes: read-only fields, their repr, equality and hashing."""
+"""The package contracts: the immutable value classes' read-only fields, repr,
+equality and hashing, and the refusals of the library's constructors."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
 
-from manyworlds.branching import BranchNode
-from manyworlds.contracts import Frozen, ShapeError
+from manyworlds.branching import BranchNode, _conditional_shift, premeasurement_unitary
+from manyworlds.contracts import CapacityError, DecompositionError, Frozen, ShapeError
 from manyworlds.deterministic import WorldCountConfig
-from manyworlds.hilbert import BipartiteSplit, DensityMatrix, UnitaryOperator, make_state
+from manyworlds.hilbert import (
+    BipartiteSplit,
+    DensityMatrix,
+    UnitaryOperator,
+    basis_state,
+    haar_random_state,
+    make_state,
+)
 from manyworlds.reporting import ExperimentConfig
-from manyworlds.schmidt import schmidt_decompose
+from manyworlds.schmidt import SchmidtDecomposition, schmidt_decompose
 
 PSI = make_state([1, 0, 0, 1], (2, 2))
 FROZEN = {
@@ -72,3 +81,44 @@ def test_branch_node_stays_mutable():
     first.weight = 0.25
     first.children.append(1)
     assert (first.weight, first.children, second.children, second.history) == (0.25, [1], [], [])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_state([1, 1, 1, 1], (2.5, 2)),
+    lambda: make_state([1], (math.inf,)),
+    lambda: make_state([1, 1], (np.float64(2.0),)),
+    lambda: BipartiteSplit(2.5, 2),
+    lambda: BipartiteSplit(2, np.float64(2.0)),
+], ids=["fraction", "infinity", "numpy-float", "split-fraction", "split-numpy-float"])
+def test_non_integral_dimensions_refused(make):
+    # neither truncated to an int nor left to fail later in numpy
+    with pytest.raises(ShapeError, match="must be integers, got"):
+        make()
+
+
+def test_numpy_integer_dimensions_accepted():
+    assert make_state([1, 1, 1, 1], (np.int64(2), np.int32(2))).dims == (2, 2)
+    assert schmidt_decompose(PSI, BipartiteSplit(np.int64(2), 2)).rank == 2
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: make_state([[1]], (1,)), ShapeError,
+     r"expected a 1-d amplitude sequence, got shape \(1, 1\)"),
+    (lambda: make_state([1], ()), ShapeError, "dims must name at least one subsystem"),
+    (lambda: basis_state(2, 2), ShapeError, r"basis index 2 outside \[0, 2\)"),
+    (lambda: UnitaryOperator(np.ones((2, 3)), 6), ShapeError,
+     r"unitary factor must be square, got shape \(2, 3\)"),
+    (lambda: premeasurement_unitary(0, 2), ShapeError, "register dimensions must be >= 1"),
+    (lambda: premeasurement_unitary(2, 0), ShapeError, "register dimensions must be >= 1"),
+    (lambda: premeasurement_unitary(129, 129), CapacityError,
+     "operator dimension 16641 exceeds the cap 16384"),
+    (lambda: haar_random_state(2, 1.5), TypeError, "seed must be an integer, got float"),
+    (lambda: SchmidtDecomposition([0.5, 0.3, 0.2], np.eye(2, 3), np.eye(2, 3),
+                                  BipartiteSplit(2, 2)),
+     DecompositionError, r"\(3,\) coefficients: rank not in \[1, 2\]"),
+], ids=["2-d-amplitudes", "empty-dims", "basis-index", "non-square-factor",
+        "no-outcomes", "no-device", "operator-cap", "float-seed", "rank-above-split"])
+def test_library_refusals(make, error, message):
+    _conditional_shift.cache_clear()  # the operator-cap case builds, not reads, its gather
+    with pytest.raises(error, match=f"^{message}$"):
+        make()

@@ -95,7 +95,8 @@ def test_front_end_defines_its_classes_without_code_generation(tmp_path, args):
 
 
 def test_reports_load_no_json(tmp_path):
-    # reporting escapes its strings itself; json alone would cost a few ms a process
+    # a report's strings need no escaping, and reporting imports json only for one
+    # that does; json alone would cost a few ms a process
     child = ("import sys\nfrom manyworlds import cli\n"
              "print(cli.main(sys.argv[1:]), 'json' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", child, "zeno", "--k", "3",

@@ -12,10 +12,12 @@ bump `__version__` and regenerate the fixture with
     PYTHONPATH=src python3 tests/test_report_bytes.py
 
 The fixture also records, under BUILT_WITH, the numpy version, the OpenBLAS
-build configuration numpy reports and the core OpenBLAS picked at run time:
-the `schmidt`, `branch` and `chain` bytes depend on that core, so a failing
-case prints the recorded values next to the current ones. `zeno` and `worlds`
-load no numpy, and their bytes must not depend on the BLAS at all.
+build configuration numpy reports, the core OpenBLAS picked at run time and
+the CPU features numpy dispatches its loops to: the `schmidt`, `branch` and
+`chain` bytes depend on that core and the Monte Carlo bytes on that dispatch,
+so a failing case prints the recorded values next to the current ones.
+`zeno` and `worlds` load no numpy, and their bytes must not depend on the
+BLAS at all.
 """
 
 import ctypes
@@ -50,16 +52,26 @@ RUNS = [
     *(f"worlds --model {model}" for model in ("linear", "exponential")),
     *(f"evolve --depth {depth} --mode full-branching" for depth in (0, 40, 333)),
 ]
-CASES = [f"{run} --seed {seed}" for run in RUNS for seed in SEEDS]
+# Runs whose bytes change under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR", the dispatch of an AVX2-only x86 machine: on an AVX-512 host
+# the inverse CDF runs numpy's AVX-512 loops, which round differently.
+DISPATCH_CASES = [
+    "overlap --dim 64 --trials 1000 --seed 6",
+    "zeno-random --dim 64 --k 4 --trials 1000 --seed 4",
+]
+CASES = [f"{run} --seed {seed}" for run in RUNS for seed in SEEDS] + DISPATCH_CASES
 
 
 def build_info() -> dict[str, str]:
-    """numpy's version, its OpenBLAS configuration and the BLAS core in use."""
+    """numpy's version, its OpenBLAS configuration, and the BLAS core and CPU dispatch in use."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath
+    # the optimized loop sets numpy was built with that this CPU runs and none disables
+    features = getattr(_multiarray_umath, "__cpu_features__", {})
+    dispatch = [t for t in getattr(_multiarray_umath, "__cpu_dispatch__", ()) if features.get(t)]
     # numpy's bundled OpenBLAS; the extension's handle reaches its symbols
     corename = getattr(ctypes.CDLL(_multiarray_umath.__file__),
                        "scipy_openblas_get_corename64_", None)
@@ -69,6 +81,7 @@ def build_info() -> dict[str, str]:
         "numpy": np.__version__,
         "openblas_config": blas.get("openblas configuration", "unknown"),
         "openblas_core": corename().decode() if corename is not None else "unknown",
+        "cpu_dispatch": " ".join(dispatch),
     }
 
 
@@ -116,7 +129,7 @@ def test_report_bytes_through_the_process(args, golden):
     proc = subprocess.run([sys.executable, "-m", "manyworlds", *args.split()], env=child_env(),
                           check=True, capture_output=True, timeout=120)
     assert report_digest("json", proc.stdout) == golden[args]["json"], (
-        f"fixture made with {golden.get(BUILT_WITH)}")
+        f"fixture made with {golden.get(BUILT_WITH)}, this run has {build_info()}")
 
 
 # Variables set on the child processes only; OpenBLAS reads them when it loads.
