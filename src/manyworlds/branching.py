@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .contracts import DIM_CAP, CapacityError, ShapeError
+from .contracts import DIM_CAP, CapacityError, ShapeError, _check_index
 from .hilbert import (
     BipartiteSplit,
     StateVector,
@@ -32,9 +32,6 @@ from .schmidt import entanglement_entropy, schmidt_decompose
 
 MAX_LEAVES = 4096          # most leaves one tree may hold
 CHAIN_DEVICES_CAP = 1024   # most devices of one chain; at dim 1 no dimension cap bounds it
-
-_UNIT_FACTOR = np.ones((1, 1), dtype=np.complex128)  # the trivial factor of a pure gather
-_UNIT_FACTOR.flags.writeable = False                  # so every operator can share it
 
 
 class PointerOverflowError(ValueError):
@@ -164,7 +161,9 @@ def premeasurement_unitary(n_outcomes: int, device_dim: int) -> UnitaryOperator:
     device index by the object index; the object register is never altered.
     For n_outcomes = device_dim = 2 this is the standard CNOT.
     """
-    return _conditional_shift(n_outcomes, 1, device_dim)
+    # read before the cache, which would take 2.0 for the key 2
+    return _conditional_shift(_check_index(n_outcomes, "register dimension"), 1,
+                              _check_index(device_dim, "register dimension"))
 
 
 @functools.lru_cache(maxsize=32)
@@ -190,8 +189,7 @@ def _conditional_shift(n_outcomes: int, middle_dim: int, device_dim: int) -> Uni
     dev = idx % device_dim
     # (U a)[(o, m, d)] = a[(o, m, (d - o) mod device_dim)]
     perm = idx - dev + (dev - obj) % device_dim
-    perm.flags.writeable = False  # made here, so UnitaryOperator keeps it rather than a copy
-    return UnitaryOperator(_UNIT_FACTOR, total, perm=perm)
+    return UnitaryOperator(np.ones((1, 1)), total, perm=perm)
 
 
 def interact_and_branch(

@@ -29,16 +29,30 @@ class DecompositionError(RuntimeError):
 class Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in `_fields`, holds them (and any private
-    cache) in `__slots__`, and sets them in its own `__init__` through
-    `object.__setattr__`. Any other assignment or deletion of an attribute
-    raises AttributeError. The repr is `Name(field=value, ...)`, the text
-    error messages quote, and two instances of one class are equal, and
-    hash alike, when their field tuples are.
+    A subclass names its fields in `_fields` and holds them, then any
+    private cache, in `__slots__`. Its `__init__` and private builders set
+    them all through `_set`, the one way past the freeze: any other
+    assignment or deletion of an attribute raises AttributeError. The repr
+    is `Name(field=value, ...)`, the text error messages quote. Two
+    instances of one class are equal, and hash alike, when their field
+    tuples are; a class that holds arrays is declared with `eq=False` and
+    compares and hashes by identity, as `dataclass(eq=False)` does.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True):
+        # each slot's descriptor setter, found once here instead of by name on every set
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        if not eq:  # an array's == is elementwise, so a field tuple has no truth value
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _set(self, *values):
+        """Set the slots in `__slots__` order (the fields first) and return self."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -48,8 +62,7 @@ class Frozen:
 
     def __setstate__(self, state):
         # pickle and copy restore slots with setattr, which is refused above
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+        self._set(*map(state[1].get, self.__slots__))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -65,6 +78,14 @@ class Frozen:
 
     def __hash__(self):
         return hash(self._values())
+
+
+def _check_index(value, what: str) -> int:
+    """`value` as an int, never truncated: an int, a bool or a numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ShapeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_dims(dims) -> tuple[int, ...]:

@@ -31,9 +31,7 @@ class WorldCountConfig(Frozen):
 
     def __init__(self, universe_age_s: float = DEFAULT_UNIVERSE_AGE_S,
                  planck_time_s: float = DEFAULT_PLANCK_TIME_S, growth_model: str = "linear"):
-        object.__setattr__(self, "universe_age_s", universe_age_s)
-        object.__setattr__(self, "planck_time_s", planck_time_s)
-        object.__setattr__(self, "growth_model", growth_model)
+        self._set(universe_age_s, planck_time_s, growth_model)
         if not (0.0 < self.universe_age_s < math.inf and 0.0 < self.planck_time_s < math.inf):
             raise ValueError("ages and times must be positive and finite")
         if self.universe_age_s <= self.planck_time_s:

@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .contracts import DIM_CAP, CapacityError, Frozen, ShapeError, _check_dims
+from .contracts import DIM_CAP, CapacityError, Frozen, ShapeError, _check_dims, _check_index
 from .rng import gaussian_amplitudes, rng_from_seed
 
 # Numerical tolerances, fixed once for the whole package.
@@ -47,7 +47,7 @@ def _checked_amplitudes(values, dims) -> tuple[np.ndarray, tuple[int, ...]]:
     return amps, dims
 
 
-class StateVector(Frozen):
+class StateVector(Frozen, eq=False):
     """Normalized complex amplitudes over a composite tensor-product basis."""
 
     __slots__ = _fields = ("amplitudes", "dims")
@@ -56,11 +56,13 @@ class StateVector(Frozen):
 
     def __init__(self, amplitudes, dims):
         amps, dims = _checked_amplitudes(amplitudes, dims)
-        amps = amps.copy()
+        self._build(amps.copy(), dims)
+
+    def _build(self, amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
+        """Check the unit norm, freeze `amps` in place and set the fields."""
         _check_unit_norm(_norm(amps))
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", dims)
+        return self._set(amps, dims)
 
     @property
     def dim(self) -> int:
@@ -97,19 +99,10 @@ def _fresh_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
     complex vector that fills them, so only the unit norm is checked. `amps`
     is frozen in place rather than copied.
     """
-    _check_unit_norm(_norm(amps))
-    amps.flags.writeable = False
-    return _wrap_state(amps, dims)
+    return object.__new__(StateVector)._build(amps, dims)
 
 
-def _wrap_state(amps: np.ndarray, dims: tuple[int, ...]) -> StateVector:
-    psi = object.__new__(StateVector)
-    object.__setattr__(psi, "amplitudes", amps)
-    object.__setattr__(psi, "dims", dims)
-    return psi
-
-
-class DensityMatrix(Frozen):
+class DensityMatrix(Frozen, eq=False):
     """Hermitian, trace-one, positive-semidefinite matrix."""
 
     __slots__ = _fields = ("entries", "dim")
@@ -117,15 +110,15 @@ class DensityMatrix(Frozen):
     dim: int
 
     def __init__(self, entries, dim):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "dim", dim)
+        self._set(entries, dim)
         self.__post_init__()
 
     def __post_init__(self):  # its own method: bench/tracing.py wraps it per construction
-        mat = np.asarray(self.entries, dtype=np.complex128)
+        mat = np.array(self.entries, dtype=np.complex128)  # a copy, frozen below
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {mat.shape}")
-        if mat.shape[0] != self.dim:
+        dim = _check_index(self.dim, "declared dim")
+        if mat.shape[0] != dim:
             raise ShapeError(f"declared dim {self.dim} != matrix size {mat.shape[0]}")
         with np.errstate(invalid="ignore"):  # an inf entry makes it NaN, refused below
             herm_dev = np.max(np.abs(mat - mat.conj().T))
@@ -137,9 +130,8 @@ class DensityMatrix(Frozen):
         smallest = float(np.linalg.eigvalsh(mat)[0])
         if not smallest >= -EPS_RANK:
             raise ShapeError(f"matrix not positive semidefinite (min eig {smallest:.3e})")
-        mat = mat.copy()
         mat.flags.writeable = False
-        object.__setattr__(self, "entries", mat)
+        self._set(mat, dim)
 
 
 class BipartiteSplit(Frozen):
@@ -150,8 +142,7 @@ class BipartiteSplit(Frozen):
     d_right: int
 
     def __init__(self, d_left: int, d_right: int):
-        object.__setattr__(self, "d_left", d_left)
-        object.__setattr__(self, "d_right", d_right)
+        self._set(d_left, d_right)
         if not (self.d_left >= 1 and self.d_right >= 1):
             raise ShapeError(f"split factors must be >= 1, got {self}")
         if self.total > DIM_CAP:
@@ -173,7 +164,7 @@ class BipartiteSplit(Frozen):
             )
 
 
-class UnitaryOperator(Frozen):
+class UnitaryOperator(Frozen, eq=False):
     """Unitary U = kron(L, I_{dim/k}) P on a dim-dimensional space.
 
     `entries` is the k x k unitary factor L acting on the leading k-dimensional
@@ -182,8 +173,7 @@ class UnitaryOperator(Frozen):
     dim matrix. A dense operator is k = dim without a gather; a permutation is
     k = 1 with one. U†U = I is checked within EPS_EIG (max-entry deviation) on
     L alone, and `perm` must hold every index of range(dim) exactly once.
-    Both arrays are kept read-only; one that is already read-only and owns
-    its data is shared rather than copied.
+    Both arrays are copied, whoever made them, and kept read-only.
     """
 
     __slots__ = _fields = ("entries", "dim", "perm")
@@ -192,46 +182,32 @@ class UnitaryOperator(Frozen):
     perm: np.ndarray | None
 
     def __init__(self, entries, dim, perm=None):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "perm", perm)
+        self._set(entries, dim, perm)
         self.__post_init__()
 
     def __post_init__(self):  # its own method: bench/tracing.py wraps it per construction
-        mat = _read_only(self.entries, np.complex128)
+        mat = np.array(self.entries, dtype=np.complex128)  # a copy, frozen below
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeError(f"unitary factor must be square, got shape {mat.shape}")
-        k = mat.shape[0]
-        if k < 1 or self.dim < 1 or self.dim % k:
-            raise ShapeError(f"factor size {k} does not divide declared dim {self.dim}")
+        k, dim = mat.shape[0], _check_index(self.dim, "declared dim")
+        if k < 1 or dim < 1 or dim % k:
+            raise ShapeError(f"factor size {k} does not divide declared dim {dim}")
         with np.errstate(invalid="ignore"):  # an inf entry makes it NaN, refused below
             dev = _gram_deviation(mat)
         if not dev <= EPS_EIG:
             raise ShapeError(f"operator is not unitary (max |U†U - I| = {dev:.3e})")
-        object.__setattr__(self, "entries", mat)
-        if self.perm is not None:
-            perm = _read_only(self.perm, np.intp)
-            if perm.shape != (self.dim,):
-                raise ShapeError(f"gather of shape {perm.shape} does not fit dim {self.dim}")
-            if perm.min() < 0 or perm.max() >= self.dim or not (
-                np.bincount(perm, minlength=self.dim) == 1
+        mat.flags.writeable = False
+        perm = self.perm
+        if perm is not None:
+            perm = np.array(perm, dtype=np.intp)  # a copy, frozen below
+            if perm.shape != (dim,):
+                raise ShapeError(f"gather of shape {perm.shape} does not fit dim {dim}")
+            if perm.min() < 0 or perm.max() >= dim or not (
+                np.bincount(perm, minlength=dim) == 1
             ).all():
                 raise ShapeError("gather must hold every basis index exactly once")
-            object.__setattr__(self, "perm", perm)
-
-
-def _read_only(values, dtype) -> np.ndarray:
-    """`values` as a read-only array of `dtype`.
-
-    A caller's writeable array, or a view of one, is copied. An array that
-    the conversion has just made, or one that is already read-only and owns
-    its data, is frozen or kept as it is.
-    """
-    arr = np.asarray(values, dtype=dtype)
-    if arr is values and (arr.flags.writeable or arr.base is not None):
-        arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+            perm.flags.writeable = False
+        self._set(mat, dim, perm)
 
 
 def _gram_deviation(mat: np.ndarray):
@@ -268,9 +244,10 @@ def _normalized_state(amps: np.ndarray, norm, dims: tuple[int, ...]) -> StateVec
 
 def basis_state(index: int, dim: int) -> StateVector:
     """Computational basis vector |index> of the given dimension."""
+    dims = _check_dims((dim,))
+    index = _check_index(index, "basis index")
     if not 0 <= index < dim:
         raise ShapeError(f"basis index {index} outside [0, {dim})")
-    dims = _check_dims((dim,))
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return _fresh_state(amps, dims)

@@ -69,11 +69,7 @@ class ExperimentConfig(Frozen):
 
     def __init__(self, experiment: str, parameters: dict, seed: int,
                  output_format: str = "json", output_path: str | None = None):
-        object.__setattr__(self, "experiment", experiment)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "output_format", output_format)
-        object.__setattr__(self, "output_path", output_path)
+        self._set(experiment, parameters, seed, output_format, output_path)
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if type(self.seed) is not int:  # a bool or a numpy integer is not an int

@@ -25,7 +25,7 @@ from .hilbert import (
 )
 
 
-class SchmidtDecomposition(Frozen):
+class SchmidtDecomposition(Frozen, eq=False):
     """Descending coefficients with paired orthonormal subsystem vectors.
 
     ``left_vectors`` and ``right_vectors`` hold one column per retained
@@ -44,67 +44,57 @@ class SchmidtDecomposition(Frozen):
     split: BipartiteSplit
 
     def __init__(self, lambdas, left_vectors, right_vectors, split: BipartiteSplit):
-        lam = np.asarray(lambdas, dtype=np.float64)
-        left = np.asarray(left_vectors, dtype=np.complex128)
-        right = np.asarray(right_vectors, dtype=np.complex128)
         with np.errstate(invalid="ignore"):  # an inf entry makes a deviation NaN, refused
-            _check_decomposition(lam, left, right, split)
-        object.__setattr__(self, "split", split)
-        _freeze_into(self, lam.copy(), left.copy(), right.copy())
+            self._build(np.array(lambdas, dtype=np.float64),
+                        np.array(left_vectors, dtype=np.complex128),
+                        np.array(right_vectors, dtype=np.complex128), split)
+
+    def _build(self, lam: np.ndarray, left: np.ndarray, right: np.ndarray,
+               split: BipartiteSplit) -> SchmidtDecomposition:
+        """Check the arrays, form the reconstruction, freeze all four in place and set them.
+
+        Every check on a decomposition is here; a NaN fails each one it reaches.
+        """
+        rank, max_rank = lam.size, min(split.d_left, split.d_right)
+        if lam.ndim != 1 or not 1 <= rank <= max_rank:
+            raise DecompositionError(f"{lam.shape} coefficients: rank not in [1, {max_rank}]")
+        values = lam.tolist()  # at most 128 entries; plain floats beat array temporaries when few
+        if any(later > earlier for earlier, later in zip(values, values[1:])):
+            raise DecompositionError("coefficients must be sorted descending")
+        if any(value <= EPS_RANK for value in values):
+            raise DecompositionError("retained coefficient at or below the zero threshold")
+        if not abs(lam.sum() - 1.0) <= EPS_EIG:
+            raise DecompositionError(f"coefficients sum to {float(lam.sum())!r}, not 1")
+        for name, mat, d in (("left", left, split.d_left), ("right", right, split.d_right)):
+            if mat.shape != (d, rank):
+                raise DecompositionError(f"{name} vectors have shape {mat.shape}")
+            gram_dev = _gram_deviation(mat)
+            if not gram_dev <= EPS_EIG:
+                raise DecompositionError(
+                    f"{name} vectors not orthonormal (deviation {gram_dev:.3e})"
+                )
+        amps = _reconstruction_amplitudes(lam, left, right)
+        for arr in (lam, left, right, amps):
+            arr.flags.writeable = False
+        return self._set(lam, left, right, split, amps)
 
     @property
     def rank(self) -> int:
         return self.lambdas.size
 
 
-def _check_decomposition(lam: np.ndarray, left: np.ndarray, right: np.ndarray,
-                         split: BipartiteSplit) -> None:
-    """Every check on a decomposition's arrays; a NaN fails each one it reaches."""
-    rank, max_rank = lam.size, min(split.d_left, split.d_right)
-    if lam.ndim != 1 or not 1 <= rank <= max_rank:
-        raise DecompositionError(f"{lam.shape} coefficients: rank not in [1, {max_rank}]")
-    values = lam.tolist()  # at most 128 entries; plain floats beat array temporaries when few
-    if any(later > earlier for earlier, later in zip(values, values[1:])):
-        raise DecompositionError("coefficients must be sorted descending")
-    if any(value <= EPS_RANK for value in values):
-        raise DecompositionError("retained coefficient at or below the zero threshold")
-    if not abs(lam.sum() - 1.0) <= EPS_EIG:
-        raise DecompositionError(f"coefficients sum to {float(lam.sum())!r}, not 1")
-    for name, mat, d in (("left", left, split.d_left), ("right", right, split.d_right)):
-        if mat.shape != (d, rank):
-            raise DecompositionError(f"{name} vectors have shape {mat.shape}")
-        gram_dev = _gram_deviation(mat)
-        if not gram_dev <= EPS_EIG:
-            raise DecompositionError(
-                f"{name} vectors not orthonormal (deviation {gram_dev:.3e})"
-            )
-
-
 def _fresh_decomposition(lam: np.ndarray, left: np.ndarray, right: np.ndarray,
                          split: BipartiteSplit) -> SchmidtDecomposition:
     """SchmidtDecomposition around arrays that schmidt_decompose has just computed.
 
-    The constructor's checks run on them, but they are frozen in place
-    rather than copied. No errstate is entered: the SVD of a unit-norm
-    vector is finite, and so are the canonical left vectors (each divided
-    by a pivot modulus above 1e-9) and the right vectors (divided by norms
-    checked to be nonzero), so no inf can reach a Gram matrix.
+    The constructor's builder runs on them: the same checks, and they are
+    frozen in place rather than copied. No errstate is entered: the SVD of
+    a unit-norm vector is finite, and so are the canonical left vectors
+    (each divided by a pivot modulus above 1e-9) and the right vectors
+    (divided by norms checked to be nonzero), so no inf can reach a Gram
+    matrix.
     """
-    _check_decomposition(lam, left, right, split)
-    dec = object.__new__(SchmidtDecomposition)
-    object.__setattr__(dec, "split", split)
-    _freeze_into(dec, lam, left, right)
-    return dec
-
-
-def _freeze_into(dec: SchmidtDecomposition, lam: np.ndarray, left: np.ndarray,
-                 right: np.ndarray) -> None:
-    """Set checked arrays on dec, frozen in place, and form its reconstruction amplitudes."""
-    amps = _reconstruction_amplitudes(lam, left, right)
-    for name, arr in (("lambdas", lam), ("left_vectors", left), ("right_vectors", right),
-                      ("_amplitudes", amps)):
-        arr.flags.writeable = False
-        object.__setattr__(dec, name, arr)
+    return object.__new__(SchmidtDecomposition)._build(lam, left, right, split)
 
 
 def _reconstruction_amplitudes(lam: np.ndarray, left: np.ndarray,

@@ -12,7 +12,7 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env
@@ -133,6 +133,47 @@ class TestParseConfig:
         path = tmp_path / "run.cfg"
         path.write_text("this is not a key value pair\n")
         assert main(["zeno", "--config", str(path)]) == 2
+
+
+def _param_values(param: cli.Param):
+    """Valid values of one parameter, each written the same way as a flag and in a file."""
+    if param.choices is not None:
+        return st.sampled_from(param.choices)
+    if param.convert is int:
+        return st.integers(1, 2**63)
+    if param.convert is float:
+        return st.floats(1e-300, 1e300)  # str of a float reads back exactly
+    return st.text("abcxyz_./0123456789", min_size=1, max_size=12)  # --out
+
+
+class TestConfigPrecedence:
+    """Every parameter of every subcommand: its flag, else its file value, else its default."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_flag_then_file_then_default(self, tmp_path, data):
+        exp = cli.EXPERIMENTS[data.draw(st.sampled_from(sorted(cli.EXPERIMENTS)))]
+        argv, lines, expected = [exp.name], [], {}
+        if data.draw(st.booleans()):
+            lines.append(f"experiment={exp.name}")
+        for param in exp.params + cli.COMMON_PARAMS:
+            values = _param_values(param)
+            flag, in_file = data.draw(st.none() | values), data.draw(st.none() | values)
+            if flag is not None:
+                argv.append(f"{param.flag}={flag}")
+            if in_file is not None:
+                lines.append(f"{param.name}={in_file}")
+            value = flag if flag is not None else in_file if in_file is not None else param.default
+            if value is not cli._REQUIRED:  # a required parameter given by neither is left out
+                expected[param.name] = value
+        order = data.draw(st.permutations(lines))
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(line + "\n" for line in order), encoding="utf-8")
+        config = cli.parse_config(argv + ["--config", str(path)])
+        assert (config.seed, config.output_format, config.output_path) == (
+            expected.pop("seed"), expected.pop("format"), expected.pop("out"))
+        assert config.experiment == exp.name and config.parameters == expected
 
 
 class TestExitCodes:
