@@ -44,7 +44,7 @@ class Frozen:
 
     def __init_subclass__(cls, eq: bool = True):
         # each slot's descriptor setter, found once here instead of by name on every set
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         if not eq:  # an array's == is elementwise, so a field tuple has no truth value
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
