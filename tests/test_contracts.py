@@ -94,6 +94,14 @@ def test_array_holding_classes_compare_and_hash_by_identity(name):
     assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
+def test_subclass_without_slots_of_its_own_sets_its_fields():
+    class Labelled(StateVector):
+        pass
+
+    psi = Labelled([1, 0], (2,))
+    assert psi.dims == (2,) and psi.amplitudes.tolist() == [1, 0] and psi == psi
+
+
 def test_branch_node_stays_mutable():
     first, second = BranchNode(0, None, 1.0, 1.0, 0.0, 0), BranchNode(1, 0, 0.5, 0.5, 0.3, 1)
     first.weight = 0.25
