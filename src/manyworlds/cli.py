@@ -4,10 +4,11 @@ Exit codes: 0 success, 2 invalid configuration, 3 unreadable or unwritable
 file or closed stdout, 4 resource cap exceeded or out of memory, 5 numerical
 self-check failed (a decomposition or the polarizer chain missed its own
 tolerance). Every error prints one `error:` line on stderr. Flags override
-config-file values, which override defaults. Parameter values are validated
-by the library alone, each rule by the constructor or driver that owns it,
-and those checks still run before any computation starts. Only `entrypoint`
-closes a standard stream: one whose flush fails at exit.
+config-file values, which override defaults. argparse only collects text:
+a flag and a file value go through the one converter, `_convert`, and are
+then validated by the library alone, each rule by the constructor or driver
+that owns it, before any computation starts. Only `entrypoint` closes a
+standard stream: one whose flush fails at exit.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 # The numeric layers are reached as attributes of the package, which imports
 # each on first use, so a process loads only the layers its subcommand runs
@@ -36,10 +37,6 @@ from .reporting import (
 )
 
 
-class ConfigFileError(Exception):
-    """Config file could not be read (exit code 3)."""
-
-
 _REQUIRED = object()
 
 
@@ -47,7 +44,6 @@ class Param(NamedTuple):
     name: str
     convert: type
     default: object = _REQUIRED
-    choices: Optional[tuple[str, ...]] = None  # the flag's choices; the library checks values
     help: str = ""
 
     @property
@@ -58,7 +54,7 @@ class Param(NamedTuple):
 # Shared by every subcommand; parse_config moves them out of the parameters.
 COMMON_PARAMS = (
     Param("seed", int, default=0, help="64-bit experiment seed"),
-    Param("format", str, default="json", choices=("json", "csv"), help="output format"),
+    Param("format", str, default="json", help="output format: json or csv"),
     Param("out", str, default=None, help="output file (default: stdout)"),
 )
 
@@ -192,8 +188,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
                   help="age of the universe in seconds"),
             Param("planck_time_s", float, default=deterministic.DEFAULT_PLANCK_TIME_S,
                   help="elementary time step in seconds"),
-            Param("model", str, default="linear", choices=("linear", "exponential"),
-                  help="growth model"),
+            Param("model", str, default="linear", help="growth model: linear or exponential"),
         ),
         _run_worlds,
         help="order-of-magnitude world count",
@@ -202,8 +197,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
         "evolve",
         (
             Param("depth", int, help="number of mutation steps"),
-            Param("mode", str, choices=("single-history", "full-branching"),
-                  help="walk mode"),
+            Param("mode", str, help="walk mode: single-history or full-branching"),
             Param("trials", int, default=100_000, help="trials (single-history mode)"),
         ),
         lambda p, seed: _package.experiments.evolution_walk(
@@ -245,9 +239,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         if exp.name != named:
             continue
         for param in exp.params + COMMON_PARAMS:
-            sub.add_argument(param.flag, dest=param.name, type=param.convert, default=None,
-                             choices=param.choices, help=param.help)
-        sub.add_argument("--config", dest="config_file", default=None,
+            sub.add_argument(param.flag, dest=param.name, help=param.help)
+        sub.add_argument("--config", dest="config_file",
                          help="key=value config file; flags take precedence")
     return parser
 
@@ -256,7 +249,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
+        raise OSError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -292,30 +285,25 @@ def _refuse_unknown(exp: Experiment, keys, known: set) -> None:
 def parse_config(argv=None) -> ExperimentConfig:
     """Parse argv (and an optional config file) into a config.
 
-    Each parameter takes its flag, else its config-file value, else its default;
-    a required parameter given by neither is left out, for run_experiment to refuse.
+    Each parameter takes its flag's text, else its config-file text, converted
+    by `_convert` either way, else its default; a required parameter given by
+    neither is left out, for run_experiment to refuse.
     """
     args = build_parser(argv).parse_args(argv)
     exp = EXPERIMENTS[args.experiment]
     params = exp.params + COMMON_PARAMS
 
-    file_values = _load_config_file(args.config_file) if args.config_file else {}
-    _refuse_unknown(exp, file_values, {p.name for p in params} | {"experiment"})
-    if file_values.get("experiment", exp.name) != exp.name:
+    texts = _load_config_file(args.config_file) if args.config_file else {}
+    texts.update((p.name, getattr(args, p.name)) for p in params
+                 if getattr(args, p.name) is not None)
+    named = texts.pop("experiment", exp.name)
+    _refuse_unknown(exp, texts, {p.name for p in params})
+    if named != exp.name:
         raise ConfigError(
-            f"config file names experiment {file_values['experiment']!r}, "
-            f"but {exp.name!r} was requested"
-        )
+            f"config file names experiment {named!r}, but {exp.name!r} was requested")
 
-    parameters: dict = {}
-    for param in params:
-        flag_value = getattr(args, param.name)
-        if flag_value is not None:
-            parameters[param.name] = flag_value
-        elif param.name in file_values:
-            parameters[param.name] = _convert(param, file_values[param.name])
-        elif param.default is not _REQUIRED:
-            parameters[param.name] = param.default
+    parameters = {p.name: _convert(p, texts[p.name]) if p.name in texts else p.default
+                  for p in params if p.name in texts or p.default is not _REQUIRED}
 
     return ExperimentConfig(
         experiment=exp.name,
@@ -392,7 +380,7 @@ def main(argv=None) -> int:
     except (DecompositionError, ArithmeticError) as exc:
         _note(f"error: numerical self-check failed: {exc}")
         return 5
-    except (ConfigFileError, OSError) as exc:
+    except OSError as exc:
         _note(f"error: {exc}")
         return 3
     except ValueError as exc:

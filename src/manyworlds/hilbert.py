@@ -172,7 +172,8 @@ class UnitaryOperator(Frozen, eq=False):
     index gather P with (P a)[i] = a[perm[i]], so U is never stored as a dim x
     dim matrix. A dense operator is k = dim without a gather; a permutation is
     k = 1 with one. U†U = I is checked within EPS_EIG (max-entry deviation) on
-    L alone, and `perm` must hold every index of range(dim) exactly once.
+    L alone, and `perm` must have an integer dtype (a float gather is refused,
+    not truncated) and hold every index of range(dim) exactly once.
     Both arrays are copied, whoever made them, and kept read-only.
     """
 
@@ -199,7 +200,10 @@ class UnitaryOperator(Frozen, eq=False):
         mat.flags.writeable = False
         perm = self.perm
         if perm is not None:
-            perm = np.array(perm, dtype=np.intp)  # a copy, frozen below
+            perm = np.array(perm)  # a copy, frozen below
+            if perm.dtype.kind not in "iu":  # never truncated, as declared dims are not
+                raise ShapeError(f"gather must hold integers, got dtype {perm.dtype}")
+            perm = perm.astype(np.intp, copy=False)
             if perm.shape != (dim,):
                 raise ShapeError(f"gather of shape {perm.shape} does not fit dim {dim}")
             if perm.min() < 0 or perm.max() >= dim or not (

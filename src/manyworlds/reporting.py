@@ -58,7 +58,11 @@ class ChainReport(NamedTuple):
 
 
 class ExperimentConfig(Frozen):
-    """One experiment run; checks its format and seed, and the library its parameters when run."""
+    """One experiment run; checks its format and seed, and the library its parameters when run.
+
+    `parameters` is copied, so a caller's later change to its dict changes
+    no config, and equal configs hash alike.
+    """
 
     __slots__ = _fields = ("experiment", "parameters", "seed", "output_format", "output_path")
     experiment: str
@@ -69,11 +73,15 @@ class ExperimentConfig(Frozen):
 
     def __init__(self, experiment: str, parameters: dict, seed: int,
                  output_format: str = "json", output_path: str | None = None):
-        self._set(experiment, parameters, seed, output_format, output_path)
+        self._set(experiment, dict(parameters), seed, output_format, output_path)
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if type(self.seed) is not int:  # a bool or a numpy integer is not an int
             raise ConfigError(f"seed expects int, got {type(self.seed).__name__} {self.seed!r}")
+
+    def __hash__(self):  # a dict has no hash; the frozenset of its items does
+        return hash((self.experiment, frozenset(self.parameters.items()), self.seed,
+                     self.output_format, self.output_path))
 
 
 class ExperimentReport:

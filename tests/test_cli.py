@@ -135,10 +135,18 @@ class TestParseConfig:
         assert main(["zeno", "--config", str(path)]) == 2
 
 
+# The values the library accepts for each parameter that takes one of a few words.
+CHOICES = {
+    "format": ("json", "csv"),
+    "model": ("linear", "exponential"),
+    "mode": ("single-history", "full-branching"),
+}
+
+
 def _param_values(param: cli.Param):
     """Valid values of one parameter, each written the same way as a flag and in a file."""
-    if param.choices is not None:
-        return st.sampled_from(param.choices)
+    if param.name in CHOICES:
+        return st.sampled_from(CHOICES[param.name])
     if param.convert is int:
         return st.integers(1, 2**63)
     if param.convert is float:
@@ -466,43 +474,43 @@ class TestExitCodes:
 
 
 # Out-of-range or missing inputs, at least one per parameter rule: (experiment,
-# the parameters a library caller passes, the keys the command line takes from a
-# config file rather than from flags). The library owns every rule, so both
-# paths must refuse with the same message.
+# the parameters a library caller passes, which the command line passes as
+# flags). The library owns every rule, so both paths must refuse with the same
+# message.
 REFUSED = {
-    "schmidt-d-left-0": ("schmidt", {"d_left": 0, "d_right": 2}, ()),
-    "schmidt-d-right-0": ("schmidt", {"d_left": 2, "d_right": 0}, ()),
-    "branch-dim-1": ("branch", {"dim": 1}, ()),
-    "branch-dim-0": ("branch", {"dim": 0}, ()),
-    "chain-dim-0": ("chain", {"dim": 0, "devices": 5}, ()),
-    "chain-devices-0": ("chain", {"dim": 2, "devices": 0}, ()),
-    "overlap-dim-0": ("overlap", {"dim": 0, "trials": 10}, ()),
-    "overlap-trials-0": ("overlap", {"dim": 4, "trials": 0}, ()),
-    "overlap-dim-missing": ("overlap", {"trials": 10}, ()),
-    "zeno-k-minus-1": ("zeno", {"k": -1}, ()),
-    "zeno-random-dim-1": ("zeno-random", {"dim": 1, "k": 2, "trials": 10}, ()),
-    "zeno-random-k-minus-1": ("zeno-random", {"dim": 4, "k": -1, "trials": 10}, ()),
-    "zeno-random-trials-0": ("zeno-random", {"dim": 4, "k": 2, "trials": 0}, ()),
+    "schmidt-d-left-0": ("schmidt", {"d_left": 0, "d_right": 2}),
+    "schmidt-d-right-0": ("schmidt", {"d_left": 2, "d_right": 0}),
+    "branch-dim-1": ("branch", {"dim": 1}),
+    "branch-dim-0": ("branch", {"dim": 0}),
+    "chain-dim-0": ("chain", {"dim": 0, "devices": 5}),
+    "chain-devices-0": ("chain", {"dim": 2, "devices": 0}),
+    "overlap-dim-0": ("overlap", {"dim": 0, "trials": 10}),
+    "overlap-trials-0": ("overlap", {"dim": 4, "trials": 0}),
+    "overlap-dim-missing": ("overlap", {"trials": 10}),
+    "zeno-k-minus-1": ("zeno", {"k": -1}),
+    "zeno-random-dim-1": ("zeno-random", {"dim": 1, "k": 2, "trials": 10}),
+    "zeno-random-k-minus-1": ("zeno-random", {"dim": 4, "k": -1, "trials": 10}),
+    "zeno-random-trials-0": ("zeno-random", {"dim": 4, "k": 2, "trials": 0}),
     "worlds-age-0": ("worlds", {"universe_age_s": 0.0, "planck_time_s": 5.39e-44,
-                                "model": "linear"}, ()),
+                                "model": "linear"}),
     "worlds-age-nan": ("worlds", {"universe_age_s": math.nan, "planck_time_s": 5.39e-44,
-                                  "model": "linear"}, ()),
+                                  "model": "linear"}),
     "worlds-time-minus-1": ("worlds", {"universe_age_s": 4.35e17, "planck_time_s": -1.0,
-                                       "model": "linear"}, ()),
+                                       "model": "linear"}),
     "worlds-age-below-time": ("worlds", {"universe_age_s": 1.0, "planck_time_s": 2.0,
-                                         "model": "linear"}, ()),
+                                         "model": "linear"}),
     "worlds-model-bogus": ("worlds", {"universe_age_s": 4.35e17, "planck_time_s": 5.39e-44,
-                                      "model": "bogus"}, ("model",)),
+                                      "model": "bogus"}),
     "evolve-depth-minus-1": ("evolve", {"depth": -1, "mode": "single-history",
-                                        "trials": 10}, ()),
-    "evolve-mode-bogus": ("evolve", {"depth": 4, "mode": "bogus", "trials": 10}, ("mode",)),
-    "evolve-trials-0": ("evolve", {"depth": 4, "mode": "single-history", "trials": 0}, ()),
+                                        "trials": 10}),
+    "evolve-mode-bogus": ("evolve", {"depth": 4, "mode": "bogus", "trials": 10}),
+    "evolve-trials-0": ("evolve", {"depth": 4, "mode": "single-history", "trials": 0}),
 }
 
 
 @pytest.mark.parametrize("case", REFUSED)
 def test_cli_and_library_refuse_alike(tmp_path, capsys, case):
-    experiment, parameters, from_file = REFUSED[case]
+    experiment, parameters = REFUSED[case]
     out = tmp_path / "never.json"
     with pytest.raises(ValueError) as refused:
         cli.run_experiment(ExperimentConfig(experiment, parameters, 0, "json", str(out)))
@@ -510,16 +518,40 @@ def test_cli_and_library_refuse_alike(tmp_path, capsys, case):
 
     argv = [experiment, "--out", str(out)]
     for name, value in parameters.items():
-        if name not in from_file:
-            argv += ["--" + name.replace("_", "-"), str(value)]
-    if from_file:
-        path = tmp_path / "run.cfg"
-        path.write_text("".join(f"{name}={parameters[name]}\n" for name in from_file))
-        argv += ["--config", str(path)]
+        argv += ["--" + name.replace("_", "-"), str(value)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {refused.value}\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+# (the rest of the command line, a key, a value no converter or library rule accepts)
+BAD_VALUES = [
+    (["zeno"], "k", "abc"),
+    (["zeno", "--k", "1"], "format", "xml"),
+    (["evolve", "--depth", "4"], "mode", "bogus"),
+    (["worlds"], "model", "bogus"),
+    (["worlds"], "universe_age_s", "abc"),
+    (["zeno", "--k", "1"], "seed", "1.5"),
+]
+
+
+@pytest.mark.parametrize("argv, key, value", BAD_VALUES,
+                         ids=[f"{key}={value}" for _, key, value in BAD_VALUES])
+def test_flag_and_config_file_refuse_alike(tmp_path, capsys, argv, key, value):
+    # argparse only collects text: both sources reach one converter and the library
+    out = tmp_path / "never.json"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key}={value}\n")
+    errors = []
+    for given in (["--" + key.replace("_", "-"), value], ["--config", str(path)]):
+        assert main(argv + given + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
     assert not out.exists()
 
 

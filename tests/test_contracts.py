@@ -19,6 +19,7 @@ from manyworlds.hilbert import (
     basis_state,
     haar_random_state,
     make_state,
+    partial_trace,
 )
 from manyworlds.reporting import ExperimentConfig
 from manyworlds.schmidt import SchmidtDecomposition, schmidt_decompose
@@ -76,6 +77,11 @@ def test_equal_fields_compare_and_hash_equal():
     assert hash(WorldCountConfig()) == hash(WorldCountConfig())
     assert ExperimentConfig("zeno", {"k": 1}, 0) == ExperimentConfig("zeno", {"k": 1}, 0, "json")
     assert ExperimentConfig("zeno", {"k": 1}, 0) != ExperimentConfig("zeno", {"k": 2}, 0)
+    parameters = {"k": 1}
+    c, same = ExperimentConfig("zeno", parameters, 0), ExperimentConfig("zeno", {"k": 1}, 0)
+    parameters["k"] = 5  # the config holds its own copy of the caller's dict
+    assert c.parameters == {"k": 1} and c == same
+    assert hash(c) == hash(same) and len({c, same}) == 1
 
 
 ARRAY_HOLDING = {
@@ -148,6 +154,9 @@ def test_integer_like_indexes_read_as_integers():
     assert basis_state(np.int64(0), np.int32(2)).amplitudes.tolist() == [1, 0]
     assert type(UnitaryOperator(np.eye(2), np.int64(4)).dim) is int
     assert premeasurement_unitary(np.int64(2), 2) is premeasurement_unitary(2, 2)
+    for gather in ([1, 0, 3, 2], np.array([1, 0, 3, 2], dtype=np.intp)):
+        u = UnitaryOperator(np.eye(1), 4, perm=gather)
+        assert u.perm.dtype == np.intp and u.perm.tolist() == [1, 0, 3, 2]
 
 
 def test_numpy_integer_dimensions_accepted():
@@ -162,6 +171,18 @@ def test_numpy_integer_dimensions_accepted():
     (lambda: basis_state(2, 2), ShapeError, r"basis index 2 outside \[0, 2\)"),
     (lambda: UnitaryOperator(np.ones((2, 3)), 6), ShapeError,
      r"unitary factor must be square, got shape \(2, 3\)"),
+    (lambda: UnitaryOperator(np.eye(1), 4, perm=[1.7, 0.2, 3.9, 2.5]), ShapeError,
+     "gather must hold integers, got dtype float64"),
+    (lambda: UnitaryOperator(np.eye(1), 4, perm=np.array([1., 0., 3., 2.])), ShapeError,
+     "gather must hold integers, got dtype float64"),
+    (lambda: DensityMatrix(np.ones((2, 3)) / 2, 2), ShapeError,
+     r"density matrix must be square, got shape \(2, 3\)"),
+    (lambda: DensityMatrix(np.eye(2) / 2, 3), ShapeError, "declared dim 3 != matrix size 2"),
+    (lambda: DensityMatrix(np.eye(2), 2), ShapeError, r"trace deviates from 1 by 1\.000e\+00"),
+    (lambda: DensityMatrix(np.diag([1.5, -0.5]), 2), ShapeError,
+     r"matrix not positive semidefinite \(min eig -5\.000e-01\)"),
+    (lambda: partial_trace(PSI, BipartiteSplit(2, 2), "middle"), ShapeError,
+     "keep must be 'left' or 'right', got 'middle'"),
     (lambda: premeasurement_unitary(0, 2), ShapeError, "register dimensions must be >= 1"),
     (lambda: premeasurement_unitary(2, 0), ShapeError, "register dimensions must be >= 1"),
     (lambda: premeasurement_unitary(129, 129), CapacityError,
@@ -171,7 +192,8 @@ def test_numpy_integer_dimensions_accepted():
                                   BipartiteSplit(2, 2)),
      DecompositionError, r"\(3,\) coefficients: rank not in \[1, 2\]"),
 ], ids=["2-d-amplitudes", "empty-dims", "basis-index", "non-square-factor",
-        "no-outcomes", "no-device", "operator-cap", "float-seed", "rank-above-split"])
+        "float-gather-list", "float-gather-array", "non-square-density", "density-dim-mismatch",
+        "density-trace", "density-negative-eigenvalue", "partial-trace-keep", "no-outcomes", "no-device", "operator-cap", "float-seed", "rank-above-split"])
 def test_library_refusals(make, error, message):
     _conditional_shift.cache_clear()  # the operator-cap case builds, not reads, its gather
     with pytest.raises(error, match=f"^{message}$"):
