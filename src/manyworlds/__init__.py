@@ -6,8 +6,8 @@ dense states and structured (local-factor and index-gather) unitaries
 the branch tree with its entropy ledger (`branching`), and seeded Monte
 Carlo experiments (`experiments`). The closed-form polarizer chain and world
 count (`deterministic`) are plain floats and load no numpy. Reports and the
-command-line front end live in `reporting` and `cli`; the numpy-free cap and
-error types in `contracts`.
+command-line front end live in `reporting` and `cli`; the numpy-free cap,
+integer readers and error types in `contracts`.
 
 Importing the package loads no layer. Each exported name, and each layer
 module named as an attribute, is imported on first use (PEP 562), so a

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .contracts import DIM_CAP, CapacityError, ShapeError, _check_index
+from .contracts import DIM_CAP, CapacityError, ShapeError, _check_dims, _check_index
 from .hilbert import (
     BipartiteSplit,
     StateVector,
@@ -162,8 +162,8 @@ def premeasurement_unitary(n_outcomes: int, device_dim: int) -> UnitaryOperator:
     For n_outcomes = device_dim = 2 this is the standard CNOT.
     """
     # read before the cache, which would take 2.0 for the key 2
-    return _conditional_shift(_check_index(n_outcomes, "register dimension"), 1,
-                              _check_index(device_dim, "register dimension"))
+    n_outcomes, device_dim = _check_dims((n_outcomes, device_dim))
+    return _conditional_shift(n_outcomes, 1, device_dim)
 
 
 @functools.lru_cache(maxsize=32)
@@ -171,19 +171,16 @@ def _conditional_shift(n_outcomes: int, middle_dim: int, device_dim: int) -> Uni
     """Device-shift gather with an untouched register between object and device.
 
     Built and checked once per shape: the operator is immutable, so every
-    caller shares it. The cache holds at most 32 gathers of at most DIM_CAP
-    indices each (4 MiB).
+    caller shares it. Its callers have read the three sizes as dimensions
+    whose product is within DIM_CAP, so the cache holds at most 32 gathers
+    of at most DIM_CAP indices each (4 MiB).
     """
-    if n_outcomes < 1 or device_dim < 1 or middle_dim < 1:
-        raise ShapeError("register dimensions must be >= 1")
     if device_dim < n_outcomes:
         raise PointerOverflowError(
             f"pointer overflow: device of dim {device_dim} cannot distinguish "
             f"{n_outcomes} outcomes"
         )
     total = n_outcomes * middle_dim * device_dim
-    if total > DIM_CAP:
-        raise CapacityError(f"operator dimension {total} exceeds the cap {DIM_CAP}")
     idx = np.arange(total)
     obj = idx // (middle_dim * device_dim)
     dev = idx % device_dim
@@ -291,13 +288,13 @@ def build_chain_tree(
     interaction. When ``amplitudes`` is omitted the object state is drawn
     uniformly from the seed.
     """
-    if object_dim < 1:
-        raise ShapeError(f"object dimension must be >= 1, got {object_dim}")
-    if n_devices < 1:
-        raise ShapeError(f"need at least one device, got {n_devices}")
+    object_dim = _check_index(object_dim, "object dimension", 1)
+    n_devices = _check_index(n_devices, "devices", 1)
     if n_devices > CHAIN_DEVICES_CAP:
         raise CapacityError(f"{n_devices} devices exceed the cap {CHAIN_DEVICES_CAP}")
-    # object_dim is checked first, so the power stays below DIM_CAP ** (CHAIN_DEVICES_CAP + 1)
+    # The chain's final size is its own rule: _check_dims would format a total of
+    # thousands of digits. object_dim is checked first, so the power stays below
+    # DIM_CAP ** (CHAIN_DEVICES_CAP + 1).
     if object_dim > DIM_CAP or object_dim ** (n_devices + 1) > DIM_CAP:
         raise CapacityError(
             f"chain of {n_devices} devices on a {object_dim}-dimensional object "

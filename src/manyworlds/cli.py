@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import manyworlds as _package
 
 from . import __version__, deterministic
-from .contracts import CapacityError, DecompositionError
+from .contracts import CapacityError, DecompositionError, _check_index
 from .reporting import (
     BranchReport,
     ChainReport,
@@ -86,9 +86,7 @@ def _run_schmidt(p: dict, seed: int):
 
 def _run_branch(p: dict, seed: int):
     hilbert, branching = _package.hilbert, _package.branching
-    dim = p["dim"]
-    if dim < 2:
-        raise ConfigError(f"dim must be >= 2, got {dim}")
+    dim = _check_index(p["dim"], "dim", 2)
     obj = hilbert.haar_random_state(dim, seed)
     tree = branching.BranchTree(hilbert.tensor(obj, hilbert.basis_state(0, dim)))
     children = branching.interact_and_branch(

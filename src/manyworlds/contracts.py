@@ -1,9 +1,13 @@
 """The package-wide contracts that need no numpy.
 
-The dimension cap and its check, the error types the command line maps to
-exit codes and the base of the immutable value classes live here, so that
-the command line can map every error without loading a numeric layer.
-Every layer imports them from here.
+The dimension cap, the two readers of integer arguments, the error types
+the command line maps to exit codes and the base of the immutable value
+classes live here, so that the command line can map every error without
+loading a numeric layer. Every layer imports them from here. Every integer
+the library takes is read by one of the two readers, never truncated:
+`_check_dims` reads subsystem dimensions (each at least 1, their product at
+most DIM_CAP) and `_check_index` every other integer (a basis index, a
+declared dim, a count, a trial position), with an optional lower bound.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ class Frozen:
     private cache, in `__slots__`. Its `__init__` and private builders set
     them all through `_set`, the one way past the freeze: any other
     assignment or deletion of an attribute raises AttributeError. The repr
-    is `Name(field=value, ...)`, the text error messages quote. Two
-    instances of one class are equal, and hash alike, when their field
-    tuples are; a class that holds arrays is declared with `eq=False` and
-    compares and hashes by identity, as `dataclass(eq=False)` does.
+    is `Name(field=value, ...)`. Two instances of one class are equal, and
+    hash alike, when their field tuples are; a class that holds arrays is
+    declared with `eq=False` and compares and hashes by identity, as
+    `dataclass(eq=False)` does.
     """
 
     __slots__ = ()
@@ -80,12 +84,15 @@ class Frozen:
         return hash(self._values())
 
 
-def _check_index(value, what: str) -> int:
-    """`value` as an int, never truncated: an int, a bool or a numpy integer."""
+def _check_index(value, what: str, least: int | None = None) -> int:
+    """`value` as an int, never truncated: an int, a bool or a numpy integer, at least `least`."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ShapeError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and index < least:
+        raise ShapeError(f"{what} must be >= {least}, got {index}")
+    return index
 
 
 def _check_dims(dims) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ Both are plain `math` on Python floats. This module imports no numpy, so a
 import math
 from typing import NamedTuple, Optional
 
-from .contracts import CapacityError, Frozen
+from .contracts import CapacityError, Frozen, _check_index
 
 POLARIZER_K_CAP = 2**20           # most lenses of one polarizer chain; one loop pass per stage
 
@@ -55,8 +55,7 @@ def polarizer_chain(k: int) -> ZenoReport:
     closed form cos^(2(k+1))(pi / (2(k+1))) within 8 (k+1) eps; a larger gap
     raises ArithmeticError. More than POLARIZER_K_CAP lenses raise CapacityError.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _check_index(k, "k", 0)
     if k > POLARIZER_K_CAP:
         raise CapacityError(f"{k} lenses exceed the cap {POLARIZER_K_CAP}")
     stages = k + 1

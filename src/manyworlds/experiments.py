@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import rng
-from .contracts import CapacityError, _check_dims
+from .contracts import CapacityError, _check_dims, _check_index
 from .deterministic import ZenoReport
 
 UNIFORMS_CAP = 2**28              # most uniforms one run draws, trials x padded block; 6-11 s
@@ -53,8 +53,7 @@ def _trial_blocks(seed: int, trials: int, uniforms: int):
     is a chunk of one trial. All is drawn in turn from one generator, so chunk c
     starts where rng.trial_uniforms(seed, first_c, ...) would: read pieces in order.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    trials = _check_index(trials, "trials", 1)
     per_trial = 4 * max(1, -(-uniforms // 4))
     if trials * per_trial > UNIFORMS_CAP:
         raise CapacityError(
@@ -111,10 +110,7 @@ def random_projection_chain(dim: int, k: int, trials: int, seed: int) -> ZenoRep
     squared overlaps along the chain. With k = 0 this reduces exactly to
     the pairwise overlap statistic.
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    dim, k = _check_index(dim, "dim", 2), _check_index(k, "k", 0)
     mean = float(np.mean(_chain_transmissions(dim, k, trials, seed)))
     return ZenoReport(k, mean, "random-projection", trials=trials, seed=seed)
 
@@ -137,8 +133,7 @@ def evolution_walk(
     minimum across the pieces of its row. Full-branching depths above
     FULL_BRANCHING_DEPTH_CAP, and runs above UNIFORMS_CAP, raise CapacityError.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    depth = _check_index(depth, "depth", 0)
     if mode == "full-branching":
         if depth > FULL_BRANCHING_DEPTH_CAP:
             raise CapacityError(

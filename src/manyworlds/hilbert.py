@@ -11,12 +11,12 @@ they are safe to share across workers.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Literal
 
 import numpy as np
 
-from .contracts import DIM_CAP, CapacityError, Frozen, ShapeError, _check_dims, _check_index
+from .contracts import DIM_CAP, CapacityError  # noqa: F401  (moved to contracts; importable here)
+from .contracts import Frozen, ShapeError, _check_dims, _check_index
 from .rng import gaussian_amplitudes, rng_from_seed
 
 # Numerical tolerances, fixed once for the whole package.
@@ -142,15 +142,7 @@ class BipartiteSplit(Frozen):
     d_right: int
 
     def __init__(self, d_left: int, d_right: int):
-        self._set(d_left, d_right)
-        if not (self.d_left >= 1 and self.d_right >= 1):
-            raise ShapeError(f"split factors must be >= 1, got {self}")
-        if self.total > DIM_CAP:
-            raise CapacityError(f"total dimension {self.total} exceeds the cap {DIM_CAP}")
-        try:  # after the cap, which an infinite factor exceeds
-            operator.index(d_left), operator.index(d_right)
-        except TypeError:
-            raise ShapeError(f"split factors must be integers, got {self}") from None
+        self._set(*_check_dims((d_left, d_right)))
 
     @property
     def total(self) -> int:

@@ -13,6 +13,8 @@ Reports are flat: every payload field and config parameter is a scalar
 is written value by value, each in the format its config names.
 """
 
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .contracts import Frozen
@@ -60,28 +62,33 @@ class ChainReport(NamedTuple):
 class ExperimentConfig(Frozen):
     """One experiment run; checks its format and seed, and the library its parameters when run.
 
-    `parameters` is copied, so a caller's later change to its dict changes
-    no config, and equal configs hash alike.
+    `parameters` is a read-only view of a private copy, so neither a caller's
+    later change to its dict nor a write through the config changes a config.
     """
 
     __slots__ = _fields = ("experiment", "parameters", "seed", "output_format", "output_path")
     experiment: str
-    parameters: dict
+    parameters: Mapping
     seed: int
     output_format: str
     output_path: str | None
 
-    def __init__(self, experiment: str, parameters: dict, seed: int,
+    def __init__(self, experiment: str, parameters: Mapping, seed: int,
                  output_format: str = "json", output_path: str | None = None):
-        self._set(experiment, dict(parameters), seed, output_format, output_path)
+        self._set(experiment, MappingProxyType(dict(parameters)), seed, output_format,
+                  output_path)
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if type(self.seed) is not int:  # a bool or a numpy integer is not an int
             raise ConfigError(f"seed expects int, got {type(self.seed).__name__} {self.seed!r}")
 
-    def __hash__(self):  # a dict has no hash; the frozenset of its items does
+    def __hash__(self):  # a mapping has no hash; the frozenset of its items does
         return hash((self.experiment, frozenset(self.parameters.items()), self.seed,
                      self.output_format, self.output_path))
+
+    def __reduce__(self):  # a mapping view does not pickle; the config is built again
+        return type(self), (self.experiment, dict(self.parameters), self.seed,
+                            self.output_format, self.output_path)
 
 
 class ExperimentReport:

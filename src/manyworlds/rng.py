@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .contracts import ShapeError, _check_index
+
 _SEED_MODULUS = 2**64
 
 TRIAL_CHUNK = 2**14  # most uniforms drawn at once for a chunk of Monte Carlo trials
@@ -36,16 +38,17 @@ def trial_rng(seed: int, first: int, per_trial: int) -> np.random.Generator:
 
     `per_trial` is a positive multiple of 4: Philox counts 4-word blocks.
     """
-    if first < 0 or per_trial < 4 or per_trial % 4:
-        raise ValueError(f"need first >= 0 and per_trial a positive multiple of 4, "
-                         f"got {first} and {per_trial}")
+    first, per_trial = _check_index(first, "first", 0), _check_index(per_trial, "per_trial", 4)
+    if per_trial % 4:
+        raise ShapeError(f"per_trial must be a multiple of 4, got {per_trial}")
     bits = np.random.Philox(key=canonical_seed(seed))
-    bits.advance(int(first) * per_trial // 4)
+    bits.advance(first * per_trial // 4)
     return np.random.Generator(bits)
 
 
 def trial_uniforms(seed: int, first: int, count: int, per_trial: int) -> np.ndarray:
     """Uniforms of `count` trials from `first` on; row t depends only on (seed, first + t)."""
+    count = _check_index(count, "count", 0)
     return trial_rng(seed, first, per_trial).random((count, per_trial))
 
 

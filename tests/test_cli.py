@@ -462,7 +462,7 @@ class TestExitCodes:
         out = tmp_path / "never.json"
         assert main(args + ["--trials", "0", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: need at least one trial, got 0"]
+        assert err == ["error: trials must be >= 1, got 0"]
         assert not out.exists()
 
     def test_full_branching_ignores_trials(self, tmp_path, capsys):

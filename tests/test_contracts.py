@@ -1,16 +1,28 @@
 """The package contracts: the immutable value classes' read-only fields, repr,
-equality and hashing, and the refusals of the library's constructors."""
+equality and hashing, the refusals of the library's constructors, and the one
+reading of every integer argument."""
 
+import ast
 import math
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from manyworlds.branching import BranchNode, _conditional_shift, premeasurement_unitary
+import manyworlds
+from manyworlds import rng
+from manyworlds.branching import (
+    BranchNode,
+    _conditional_shift,
+    premeasurement_unitary,
+    run_chain_protocol,
+)
+from manyworlds.cli import _run_branch
 from manyworlds.contracts import CapacityError, DecompositionError, Frozen, ShapeError
-from manyworlds.deterministic import WorldCountConfig
+from manyworlds.deterministic import WorldCountConfig, polarizer_chain
+from manyworlds.experiments import evolution_walk, overlap_statistics, random_projection_chain
 from manyworlds.hilbert import (
     BipartiteSplit,
     DensityMatrix,
@@ -65,8 +77,6 @@ def test_repr_names_each_field():
     assert repr(WorldCountConfig(growth_model="exponential")) == (
         "WorldCountConfig(universe_age_s=4.35e+17, planck_time_s=5.39e-44, "
         "growth_model='exponential')")
-    with pytest.raises(ShapeError, match=r"got BipartiteSplit\(d_left=0, d_right=3\)$"):
-        BipartiteSplit(0, 3)
 
 
 def test_equal_fields_compare_and_hash_equal():
@@ -82,6 +92,10 @@ def test_equal_fields_compare_and_hash_equal():
     parameters["k"] = 5  # the config holds its own copy of the caller's dict
     assert c.parameters == {"k": 1} and c == same
     assert hash(c) == hash(same) and len({c, same}) == 1
+    configs = {c}
+    with pytest.raises(TypeError):
+        c.parameters["k"] = 5  # nor can a write through the config change it
+    assert c.parameters == {"k": 1} and c in configs and hash(c) == hash(same)
 
 
 ARRAY_HOLDING = {
@@ -133,9 +147,10 @@ def test_non_integral_dimensions_refused(make):
     (lambda: basis_state(1.0, 2), "basis index must be an integer, got 1.0"),
     (lambda: UnitaryOperator(np.eye(2), 4.0), "declared dim must be an integer, got 4.0"),
     (lambda: DensityMatrix(np.eye(2) / 2, 2.0), "declared dim must be an integer, got 2.0"),
-    (lambda: premeasurement_unitary(2.0, 2), "register dimension must be an integer, got 2.0"),
+    (lambda: premeasurement_unitary(2.0, 2),
+     "subsystem dimensions must be integers, got (2.0, 2)"),
     (lambda: premeasurement_unitary(2, np.float64(2)),
-     "register dimension must be an integer, got np.float64(2.0)"),
+     "subsystem dimensions must be integers, got (2, np.float64(2.0))"),
 ], ids=["basis-index", "basis-index-whole-float", "unitary-dim", "density-dim",
         "outcomes", "device-numpy-float"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold-cache", "warm-cache"])
@@ -162,6 +177,113 @@ def test_integer_like_indexes_read_as_integers():
 def test_numpy_integer_dimensions_accepted():
     assert make_state([1, 1, 1, 1], (np.int64(2), np.int32(2))).dims == (2, 2)
     assert schmidt_decompose(PSI, BipartiteSplit(np.int64(2), 2)).rank == 2
+    split = BipartiteSplit(np.int64(2), np.int32(3))
+    assert type(split.d_left) is int and type(split.d_right) is int
+
+
+# Every public integer argument: its call, its least value and the refusal
+# of the value one below it. Dimensions are read by _check_dims, every other
+# integer by _check_index.
+INTEGER_ARGUMENTS = {
+    "polarizer_chain-k": (polarizer_chain, 0, "k must be >= 0, got -1"),
+    "random_projection_chain-dim": (lambda v: random_projection_chain(v, 1, 10, 0), 2,
+                                    "dim must be >= 2, got 1"),
+    "random_projection_chain-k": (lambda v: random_projection_chain(4, v, 10, 0), 0,
+                                  "k must be >= 0, got -1"),
+    "random_projection_chain-trials": (lambda v: random_projection_chain(4, 1, v, 0), 1,
+                                       "trials must be >= 1, got 0"),
+    "overlap_statistics-dim": (lambda v: overlap_statistics(v, 10, 0), 1,
+                               r"subsystem dimensions must be >= 1, got \(0,\)"),
+    "overlap_statistics-trials": (lambda v: overlap_statistics(4, v, 0), 1,
+                                  "trials must be >= 1, got 0"),
+    "evolution_walk-depth": (lambda v: evolution_walk(v, "full-branching"), 0,
+                             "depth must be >= 0, got -1"),
+    "evolution_walk-trials": (lambda v: evolution_walk(3, "single-history", 0, v), 1,
+                              "trials must be >= 1, got 0"),
+    "run_chain_protocol-object_dim": (lambda v: run_chain_protocol(v, 2), 1,
+                                      "object dimension must be >= 1, got 0"),
+    "run_chain_protocol-n_devices": (lambda v: run_chain_protocol(2, v), 1,
+                                     "devices must be >= 1, got 0"),
+    "branch-dim": (lambda v: _run_branch({"dim": v}, 0), 2, "dim must be >= 2, got 1"),
+    "premeasurement_unitary-n_outcomes": (lambda v: premeasurement_unitary(v, 2), 1,
+                                          r"subsystem dimensions must be >= 1, got \(0, 2\)"),
+    "premeasurement_unitary-device_dim": (lambda v: premeasurement_unitary(2, v), 1,
+                                          r"subsystem dimensions must be >= 1, got \(2, 0\)"),
+    "BipartiteSplit-d_left": (lambda v: BipartiteSplit(v, 3), 1,
+                              r"subsystem dimensions must be >= 1, got \(0, 3\)"),
+    "BipartiteSplit-d_right": (lambda v: BipartiteSplit(3, v), 1,
+                               r"subsystem dimensions must be >= 1, got \(3, 0\)"),
+    "trial_rng-first": (lambda v: rng.trial_rng(0, v, 4).random(4).tolist(), 0,
+                        "first must be >= 0, got -1"),
+    "trial_rng-per_trial": (lambda v: rng.trial_rng(0, 1, v).random(4).tolist(), 4,
+                            "per_trial must be >= 4, got 3"),
+    "trial_uniforms-first": (lambda v: rng.trial_uniforms(0, v, 2, 4).tolist(), 0,
+                             "first must be >= 0, got -1"),
+    "trial_uniforms-count": (lambda v: rng.trial_uniforms(0, 1, v, 4).tolist(), 0,
+                             "count must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2)], ids=["fraction", "whole", "numpy"])
+def test_non_integer_argument_refused(case, value):
+    # neither truncated (trial_uniforms(0, 1.5, ...) once returned trial 1's rows)
+    # nor left to fail later as a TypeError
+    call, _, _ = case
+    with pytest.raises(ShapeError, match=r"must be (an integer|integers), got"):
+        call(value)
+
+
+@pytest.mark.parametrize("case", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_numpy_integer_argument_reads_as_int(case):
+    call, least, _ = case
+    value = max(least, 2)
+    assert call(np.int64(value)) == call(value) == call(np.int32(value))
+
+
+@pytest.mark.parametrize("case", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_argument_below_its_least_value_refused(case):
+    call, least, message = case
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        call(least - 1)
+
+
+PACKAGE = Path(manyworlds.__file__).parent
+
+
+def _owners(holds) -> set[tuple[str, str | None]]:
+    """(module file, innermost enclosing function) of each package source node `holds` for."""
+    found = set()
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if holds(child):
+                found.add((path.name, owner))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if inner else owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    return found
+
+
+def _names(node, name: str) -> bool:
+    return any(getattr(n, "id", None) == name or getattr(n, "attr", None) == name
+               for n in ast.walk(node))
+
+
+def test_integers_are_read_in_contracts_only():
+    # a private copy of the integer rule would call operator.index itself
+    index_reads = _owners(lambda n: (isinstance(n, ast.ImportFrom) and n.module == "operator")
+                          or (isinstance(n, ast.Attribute) and n.attr == "index"
+                              and getattr(n.value, "id", None) == "operator"))
+    assert {module for module, _ in index_reads} == {"contracts.py"}
+
+
+def test_dimension_cap_is_compared_by_its_two_owners_only():
+    # _check_dims caps every state; a chain's final size is its own rule
+    assert _owners(lambda n: isinstance(n, ast.Compare) and _names(n, "DIM_CAP")) == {
+        ("contracts.py", "_check_dims"), ("branching.py", "build_chain_tree")}
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -183,17 +305,20 @@ def test_numpy_integer_dimensions_accepted():
      r"matrix not positive semidefinite \(min eig -5\.000e-01\)"),
     (lambda: partial_trace(PSI, BipartiteSplit(2, 2), "middle"), ShapeError,
      "keep must be 'left' or 'right', got 'middle'"),
-    (lambda: premeasurement_unitary(0, 2), ShapeError, "register dimensions must be >= 1"),
-    (lambda: premeasurement_unitary(2, 0), ShapeError, "register dimensions must be >= 1"),
+    (lambda: BipartiteSplit(0, 3), ShapeError, r"subsystem dimensions must be >= 1, got \(0, 3\)"),
+    (lambda: premeasurement_unitary(0, 2), ShapeError,
+     r"subsystem dimensions must be >= 1, got \(0, 2\)"),
+    (lambda: premeasurement_unitary(2, 0), ShapeError,
+     r"subsystem dimensions must be >= 1, got \(2, 0\)"),
     (lambda: premeasurement_unitary(129, 129), CapacityError,
-     "operator dimension 16641 exceeds the cap 16384"),
+     "total dimension 16641 exceeds the cap 16384"),
     (lambda: haar_random_state(2, 1.5), TypeError, "seed must be an integer, got float"),
     (lambda: SchmidtDecomposition([0.5, 0.3, 0.2], np.eye(2, 3), np.eye(2, 3),
                                   BipartiteSplit(2, 2)),
      DecompositionError, r"\(3,\) coefficients: rank not in \[1, 2\]"),
 ], ids=["2-d-amplitudes", "empty-dims", "basis-index", "non-square-factor",
         "float-gather-list", "float-gather-array", "non-square-density", "density-dim-mismatch",
-        "density-trace", "density-negative-eigenvalue", "partial-trace-keep", "no-outcomes", "no-device", "operator-cap", "float-seed", "rank-above-split"])
+        "density-trace", "density-negative-eigenvalue", "partial-trace-keep", "split-zero", "no-outcomes", "no-device", "operator-cap", "float-seed", "rank-above-split"])
 def test_library_refusals(make, error, message):
     _conditional_shift.cache_clear()  # the operator-cap case builds, not reads, its gather
     with pytest.raises(error, match=f"^{message}$"):

@@ -22,10 +22,10 @@ from manyworlds import (
     partial_trace,
     tensor,
 )
+from manyworlds.contracts import DIM_CAP
 from manyworlds.deterministic import WorldCountConfig
 from manyworlds.hilbert import (
     DEGENERACY_GAP,
-    DIM_CAP,
     EPS_EIG,
     EPS_NORM,
     EPS_RANK,
@@ -109,7 +109,7 @@ NON_FINITE_INPUTS = {
     "DensityMatrix-nan-offdiag": (
         lambda: DensityMatrix(np.array([[1, NAN], [NAN, 0]]), 2), ShapeError),
     "BipartiteSplit-nan": (lambda: BipartiteSplit(NAN, 2), ShapeError),
-    "BipartiteSplit-inf": (lambda: BipartiteSplit(2, INF), CapacityError),
+    "BipartiteSplit-inf": (lambda: BipartiteSplit(2, INF), ShapeError),
     "SchmidtDecomposition-nan-lambda": (
         lambda: SchmidtDecomposition(np.array([NAN]), COLUMN, COLUMN, BipartiteSplit(2, 2)),
         DecompositionError),
