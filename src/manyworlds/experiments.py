@@ -53,7 +53,6 @@ def _trial_blocks(seed: int, trials: int, uniforms: int):
     is a chunk of one trial. All is drawn in turn from one generator, so chunk c
     starts where rng.trial_uniforms(seed, first_c, ...) would: read pieces in order.
     """
-    trials = _check_index(trials, "trials", 1)
     per_trial = 4 * max(1, -(-uniforms // 4))
     if trials * per_trial > UNIFORMS_CAP:
         raise CapacityError(
@@ -77,7 +76,6 @@ def _chain_transmissions(dim: int, k: int, trials: int, seed: int) -> np.ndarray
     inverse CDF 1 - (1 - u_i)^(1 / (N - 1)) of the i-th uniform of the
     trial's block, and at N = 1 it is exactly 1.
     """
-    _check_dims((dim,))
     blocks = _trial_blocks(seed, trials, k + 1)  # checks the cap before probs exists
     probs = np.empty(trials)
     for first, pieces in blocks:
@@ -97,6 +95,8 @@ def overlap_statistics(dim: int, trials: int, seed: int) -> OverlapReport:
     complex space the squared overlap follows Beta(1, N-1), so the mean
     tends to 1/N.
     """
+    (dim,) = _check_dims((dim,))
+    trials, seed = _check_index(trials, "trials", 1), _check_index(seed, "seed")
     probs = _chain_transmissions(dim, 0, trials, seed)
     err = float(np.std(probs, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return OverlapReport(dim, trials, float(np.mean(probs)), err, seed)
@@ -111,6 +111,8 @@ def random_projection_chain(dim: int, k: int, trials: int, seed: int) -> ZenoRep
     the pairwise overlap statistic.
     """
     dim, k = _check_index(dim, "dim", 2), _check_index(k, "k", 0)
+    _check_dims((dim,))  # the cap
+    trials, seed = _check_index(trials, "trials", 1), _check_index(seed, "seed")
     mean = float(np.mean(_chain_transmissions(dim, k, trials, seed)))
     return ZenoReport(k, mean, "random-projection", trials=trials, seed=seed)
 
@@ -151,6 +153,7 @@ def evolution_walk(
             branch_count=2**depth,
         )
     if mode == "single-history":
+        trials = _check_index(trials, "trials", 1)
         total = top = 0
         for _, pieces in _trial_blocks(seed, trials, depth):
             walk, low = np.zeros((1, 1), dtype=np.int64), 0  # W_0 = 0

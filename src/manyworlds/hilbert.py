@@ -15,7 +15,6 @@ from typing import Literal
 
 import numpy as np
 
-from .contracts import DIM_CAP, CapacityError  # noqa: F401  (moved to contracts; importable here)
 from .contracts import Frozen, ShapeError, _check_dims, _check_index
 from .rng import gaussian_amplitudes, rng_from_seed
 

@@ -1,6 +1,7 @@
 """Pinned deterministic random number generation.
 
-Random states draw from a PCG64 stream per seed. Monte Carlo
+Random states draw from a PCG64 stream per seed, an integer that
+`contracts._check_index` reads like every other integer argument. Monte Carlo
 trial t reads the fixed block of uniforms at counter offset t * per_trial
 of one Philox stream keyed by the seed (Salmon et al., SC 2011), so a chunk
 of trials is one draw and any trial can be replayed on its own.
@@ -12,20 +13,17 @@ import numpy as np
 
 from .contracts import ShapeError, _check_index
 
-_SEED_MODULUS = 2**64
-
 TRIAL_CHUNK = 2**14  # most uniforms drawn at once for a chunk of Monte Carlo trials
 
 
 def canonical_seed(seed: int) -> int:
-    """Reduce an integer seed to the canonical range [0, 2**64).
+    """Read a seed as an integer, never truncated, and reduce it to [0, 2**64).
 
-    Negative seeds are mapped to their two's-complement unsigned value so
-    that any 64-bit integer is accepted without losing determinism.
+    A float or a string raises ShapeError. Negative seeds are mapped to their
+    two's-complement unsigned value so that any 64-bit integer is accepted
+    without losing determinism.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    return int(seed) % _SEED_MODULUS
+    return _check_index(seed, "seed") % 2**64
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import manyworlds
 from manyworlds import rng
@@ -33,7 +35,7 @@ from manyworlds.hilbert import (
     make_state,
     partial_trace,
 )
-from manyworlds.reporting import ExperimentConfig
+from manyworlds.reporting import ExperimentConfig, ExperimentReport, emit_report
 from manyworlds.schmidt import SchmidtDecomposition, schmidt_decompose
 
 PSI = make_state([1, 0, 0, 1], (2, 2))
@@ -234,11 +236,35 @@ def test_non_integer_argument_refused(case, value):
         call(value)
 
 
+def _emitted(result) -> bytes:
+    """What a caller keeps of a result, as bytes that tell np.int64(4) from 4.
+
+    A report (or ledger record) is written by emit_report, which refuses a
+    numpy integer and writes True as `true`, followed by its repr, which names
+    a numpy scalar's type; an array, a state or a generator's next draws give
+    their dtype and raw bytes; anything else gives its repr.
+    """
+    if isinstance(result, list):
+        return b"|".join(map(_emitted, result))
+    if isinstance(result, tuple) and hasattr(result, "_asdict"):
+        config = ExperimentConfig("case", {}, 0)
+        return emit_report(ExperimentReport(config, "0", result)) + repr(result).encode()
+    if isinstance(result, np.random.Generator):
+        result = result.random(8)
+    if isinstance(result, StateVector):
+        result = result.amplitudes
+    if isinstance(result, np.ndarray):
+        return result.dtype.str.encode() + result.tobytes()
+    return repr(result).encode()
+
+
 @pytest.mark.parametrize("case", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
 def test_numpy_integer_argument_reads_as_int(case):
+    # == alone would pass a report that echoes np.int64(4), since np.int64(4) == 4
     call, least, _ = case
     value = max(least, 2)
-    assert call(np.int64(value)) == call(value) == call(np.int32(value))
+    assert _emitted(call(np.int64(value))) == _emitted(call(value))
+    assert _emitted(call(np.int32(value))) == _emitted(call(value))
 
 
 @pytest.mark.parametrize("case", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
@@ -246,6 +272,64 @@ def test_argument_below_its_least_value_refused(case):
     call, least, message = case
     with pytest.raises(ShapeError, match=f"^{message}$"):
         call(least - 1)
+
+
+# Every seeded entry point, with the seed as its one varying argument. A seed
+# is read by _check_index like any other integer, and has no least value.
+SEEDED = {
+    "haar_random_state": lambda s: haar_random_state(3, s),
+    "rng_from_seed": rng.rng_from_seed,
+    "trial_rng": lambda s: rng.trial_rng(s, 1, 4),
+    "trial_uniforms": lambda s: rng.trial_uniforms(s, 1, 2, 4),
+    "overlap_statistics": lambda s: overlap_statistics(4, 10, s),
+    "random_projection_chain": lambda s: random_projection_chain(4, 2, 10, s),
+    "evolution_walk": lambda s: evolution_walk(3, "single-history", s, 10),
+    "run_chain_protocol": lambda s: run_chain_protocol(2, 2, seed=s),
+}
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+@pytest.mark.parametrize("seed", [1.5, 2.0, "7"], ids=["fraction", "whole", "text"])
+def test_non_integer_seed_refused(call, seed):
+    message = f"seed must be an integer, got {seed!r}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        call(seed)
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), True],
+                         ids=["int64", "uint64", "bool"])
+def test_integer_like_seed_gives_the_int_bytes(call, seed):
+    # overlap_statistics(4, 10, True) once wrote "seed": true
+    assert _emitted(call(seed)) == _emitted(call(int(seed)))
+
+
+WIDTHS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+# Per case: its call and the range of values drawn, small sizes and counts
+# that run in milliseconds, and every 64-bit value for a seed.
+DRAWN = {
+    **{name: (call, least, least + 3) for name, (call, least, _) in INTEGER_ARGUMENTS.items()},
+    **{f"{name}-seed": (call, -2**63, 2**64 - 1) for name, call in SEEDED.items()},
+}
+
+
+def _outcome(call, value) -> bytes:
+    """The emitted bytes of call(value), or its refusal's type and message."""
+    try:
+        return _emitted(call(value))
+    except (ValueError, CapacityError) as exc:  # ShapeError and PointerOverflowError too
+        return f"{type(exc).__name__}: {exc}".encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numpy_integer_of_every_width_gives_the_int_bytes(data):
+    call, low, high = DRAWN[data.draw(st.sampled_from(sorted(DRAWN)), label="case")]
+    width = data.draw(st.sampled_from(WIDTHS), label="width")
+    info = np.iinfo(width)
+    value = data.draw(st.integers(max(low, int(info.min)), min(high, int(info.max))),
+                      label="value")
+    assert _outcome(call, width(value)) == _outcome(call, value)
 
 
 PACKAGE = Path(manyworlds.__file__).parent
@@ -278,6 +362,13 @@ def test_integers_are_read_in_contracts_only():
                           or (isinstance(n, ast.Attribute) and n.attr == "index"
                               and getattr(n.value, "id", None) == "operator"))
     assert {module for module, _ in index_reads} == {"contracts.py"}
+    # or test the type, as the seed rule once did with isinstance(seed, (int, np.integer));
+    # reporting's isinstance(value, int) is the writer's dispatch, not an integer rule
+    type_tests = _owners(lambda n: (isinstance(n, ast.Attribute)
+                                    and n.attr in ("integer", "Integral"))
+                         or (isinstance(n, ast.Name) and n.id == "Integral")
+                         or (isinstance(n, ast.ImportFrom) and n.module == "numbers"))
+    assert {module for module, _ in type_tests} <= {"contracts.py"}
 
 
 def test_dimension_cap_is_compared_by_its_two_owners_only():
@@ -312,7 +403,7 @@ def test_dimension_cap_is_compared_by_its_two_owners_only():
      r"subsystem dimensions must be >= 1, got \(2, 0\)"),
     (lambda: premeasurement_unitary(129, 129), CapacityError,
      "total dimension 16641 exceeds the cap 16384"),
-    (lambda: haar_random_state(2, 1.5), TypeError, "seed must be an integer, got float"),
+    (lambda: haar_random_state(2, 1.5), ShapeError, "seed must be an integer, got 1.5"),
     (lambda: SchmidtDecomposition([0.5, 0.3, 0.2], np.eye(2, 3), np.eye(2, 3),
                                   BipartiteSplit(2, 2)),
      DecompositionError, r"\(3,\) coefficients: rank not in \[1, 2\]"),
