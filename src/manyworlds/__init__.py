@@ -28,17 +28,16 @@ _EXPORTS = {
         "make_state", "partial_trace", "tensor",
     ),
     "schmidt": (
-        "SchmidtDecomposition", "entanglement_entropy", "reconstruct",
-        "schmidt_decompose", "spectra_gap",
+        "SchmidtDecomposition", "SchmidtReport", "entanglement_entropy",
+        "random_state_report", "reconstruct", "schmidt_decompose", "spectra_gap",
     ),
     "branching": (
-        "MAX_LEAVES", "BranchNode", "BranchTree", "LedgerRecord", "PointerOverflowError",
-        "build_chain_tree", "interact_and_branch", "premeasurement_unitary",
+        "MAX_LEAVES", "BranchNode", "BranchReport", "BranchTree", "ChainReport",
+        "LedgerRecord", "PointerOverflowError", "branching_report", "build_chain_tree",
+        "chain_report", "interact_and_branch", "premeasurement_unitary",
         "rescaled_entropy_trace", "run_chain_protocol", "total_entropy",
     ),
-    "deterministic": (
-        "WorldCountConfig", "WorldCountReport", "ZenoReport", "polarizer_chain", "world_count",
-    ),
+    "deterministic": ("WorldCountReport", "ZenoReport", "polarizer_chain", "world_count"),
     "experiments": (
         "ComplexityReport", "OverlapReport", "evolution_walk", "overlap_statistics",
         "random_projection_chain",

@@ -50,6 +50,28 @@ class LedgerRecord(NamedTuple):
     branch_entropies: tuple[float, ...]
 
 
+class BranchReport(NamedTuple):
+    """Outcome weights and entropies of a single premeasurement branching."""
+
+    object_dim: int
+    seed: int
+    n_branches: int
+    weights: tuple[float, ...]
+    branch_entropies: tuple[float, ...]
+    total_entropy: float
+
+
+class ChainReport(NamedTuple):
+    """Total-entropy trajectory of a device-chain protocol."""
+
+    object_dim: int
+    n_devices: int
+    seed: int
+    entropy_steps: tuple[float, ...]
+    final_entropy: float
+    leaf_count: int
+
+
 class BranchNode:
     """One world line: weight, factorized post-branching state, entropies.
 
@@ -300,6 +322,7 @@ def build_chain_tree(
             f"chain of {n_devices} devices on a {object_dim}-dimensional object "
             f"exceeds the dimension cap {DIM_CAP}"
         )
+    seed = _check_index(seed, "seed")  # read even when the amplitudes leave it unused
 
     if amplitudes is None:
         obj = haar_random_state(object_dim, seed)
@@ -337,3 +360,44 @@ def run_chain_protocol(
 ) -> list[LedgerRecord]:
     """Entropy ledger of the device-chain protocol; see build_chain_tree."""
     return build_chain_tree(object_dim, n_devices, amplitudes, seed).ledger
+
+
+def branching_report(dim: int, seed: int) -> BranchReport:
+    """One premeasurement of the seed's random object of dim >= 2 outcomes.
+
+    The object is coupled to a ready device of the same dimension, so it
+    splits into one branch per outcome of nonzero weight.
+    """
+    dim, seed = _check_index(dim, "dim", 2), _check_index(seed, "seed")
+    tree = BranchTree(tensor(haar_random_state(dim, seed), basis_state(0, dim)))
+    children = interact_and_branch(tree, tree.root_id, premeasurement_unitary(dim, dim),
+                                   BipartiteSplit(dim, dim))
+    nodes = [tree.node(c) for c in children]
+    return BranchReport(
+        object_dim=dim,
+        seed=seed,
+        n_branches=len(nodes),
+        weights=tuple(n.weight for n in nodes),
+        branch_entropies=tuple(n.relative_entropy for n in nodes),
+        total_entropy=total_entropy(tree),
+    )
+
+
+def chain_report(dim: int, devices: int, seed: int) -> ChainReport:
+    """Total entropy after each step of the chain protocol on the seed's random object.
+
+    build_chain_tree applies the least values and caps; the integers read
+    here are the ones the report echoes.
+    """
+    dim, devices = _check_index(dim, "object dimension"), _check_index(devices, "devices")
+    seed = _check_index(seed, "seed")
+    ledger = run_chain_protocol(dim, devices, seed=seed)
+    steps = tuple(r.total_entropy for r in ledger)
+    return ChainReport(
+        object_dim=dim,
+        n_devices=devices,
+        seed=seed,
+        entropy_steps=steps,
+        final_entropy=steps[-1],
+        leaf_count=len(ledger[-1].branch_entropies),
+    )

@@ -1,4 +1,4 @@
-"""Command-line front end: one subcommand per experiment.
+"""Command-line front end: one subcommand per experiment, each one library call.
 
 Exit codes: 0 success, 2 invalid configuration, 3 unreadable or unwritable
 file or closed stdout, 4 resource cap exceeded or out of memory, 5 numerical
@@ -25,16 +25,8 @@ from typing import Callable, NamedTuple
 import manyworlds as _package
 
 from . import __version__, deterministic
-from .contracts import CapacityError, DecompositionError, _check_index
-from .reporting import (
-    BranchReport,
-    ChainReport,
-    ConfigError,
-    ExperimentConfig,
-    ExperimentReport,
-    SchmidtReport,
-    emit_report,
-)
+from .contracts import CapacityError, DecompositionError
+from .reporting import ConfigError, ExperimentConfig, ExperimentReport, emit_report
 
 
 _REQUIRED = object()
@@ -66,68 +58,6 @@ class Experiment(NamedTuple):
     help: str = ""
 
 
-def _run_schmidt(p: dict, seed: int):
-    hilbert, schmidt = _package.hilbert, _package.schmidt
-    split = hilbert.BipartiteSplit(p["d_left"], p["d_right"])
-    psi = hilbert.haar_random_state(split.total, seed)
-    dec = schmidt.schmidt_decompose(psi, split)
-    return SchmidtReport(
-        d_left=p["d_left"],
-        d_right=p["d_right"],
-        seed=seed,
-        rank=dec.rank,
-        lambdas=tuple(dec.lambdas.tolist()),
-        entanglement_entropy=schmidt.entanglement_entropy(dec),
-        spectra_gap=schmidt.spectra_gap(psi, dec),
-        reconstruction_error=float(
-            hilbert._norm(schmidt.reconstruct(dec).amplitudes - psi.amplitudes)),
-    )
-
-
-def _run_branch(p: dict, seed: int):
-    hilbert, branching = _package.hilbert, _package.branching
-    dim = _check_index(p["dim"], "dim", 2)
-    obj = hilbert.haar_random_state(dim, seed)
-    tree = branching.BranchTree(hilbert.tensor(obj, hilbert.basis_state(0, dim)))
-    children = branching.interact_and_branch(
-        tree, tree.root_id, branching.premeasurement_unitary(dim, dim),
-        hilbert.BipartiteSplit(dim, dim),
-    )
-    nodes = [tree.node(c) for c in children]
-    return BranchReport(
-        object_dim=dim,
-        seed=seed,
-        n_branches=len(nodes),
-        weights=tuple(n.weight for n in nodes),
-        branch_entropies=tuple(n.relative_entropy for n in nodes),
-        total_entropy=branching.total_entropy(tree),
-    )
-
-
-def _run_chain(p: dict, seed: int):
-    ledger = _package.branching.run_chain_protocol(
-        p["dim"], p["devices"], amplitudes=None, seed=seed)
-    steps = tuple(r.total_entropy for r in ledger)
-    return ChainReport(
-        object_dim=p["dim"],
-        n_devices=p["devices"],
-        seed=seed,
-        entropy_steps=steps,
-        final_entropy=steps[-1],
-        leaf_count=len(ledger[-1].branch_entropies),
-    )
-
-
-def _run_worlds(p: dict, seed: int):
-    return deterministic.world_count(
-        deterministic.WorldCountConfig(
-            universe_age_s=p["universe_age_s"],
-            planck_time_s=p["planck_time_s"],
-            growth_model=p["model"],
-        )
-    )
-
-
 EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     Experiment(
         "schmidt",
@@ -135,13 +65,13 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
             Param("d_left", int, help="left factor dimension"),
             Param("d_right", int, help="right factor dimension"),
         ),
-        _run_schmidt,
+        lambda p, seed: _package.schmidt.random_state_report(p["d_left"], p["d_right"], seed),
         help="decompose a seeded random bipartite state",
     ),
     Experiment(
         "branch",
         (Param("dim", int, help="object dimension"),),
-        _run_branch,
+        lambda p, seed: _package.branching.branching_report(p["dim"], seed),
         help="one premeasurement branching of a seeded random object",
     ),
     Experiment(
@@ -150,7 +80,7 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
             Param("dim", int, help="object dimension"),
             Param("devices", int, default=5, help="number of fresh devices"),
         ),
-        _run_chain,
+        lambda p, seed: _package.branching.chain_report(p["dim"], p["devices"], seed),
         help="device-chain protocol entropy ledger",
     ),
     Experiment(
@@ -188,7 +118,8 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
                   help="elementary time step in seconds"),
             Param("model", str, default="linear", help="growth model: linear or exponential"),
         ),
-        _run_worlds,
+        lambda p, seed: deterministic.world_count(
+            p["universe_age_s"], p["planck_time_s"], p["model"]),
         help="order-of-magnitude world count",
     ),
     Experiment(

@@ -1,13 +1,16 @@
 """The package-wide contracts that need no numpy.
 
-The dimension cap, the two readers of integer arguments, the error types
-the command line maps to exit codes and the base of the immutable value
-classes live here, so that the command line can map every error without
-loading a numeric layer. Every layer imports them from here. Every integer
-the library takes, a seed too, is read by one of the two readers, never
-truncated, and used as the int it returns: `_check_dims` reads subsystem
-dimensions (each at least 1, their product at most DIM_CAP) and `_check_index`
-every other integer (a basis index, a count, a seed), with an optional least.
+The dimension cap, the two readers of integer arguments, the shape,
+capacity and decomposition errors and the base of the immutable value
+classes live here; every layer imports them from here. The command line
+maps each error to its exit code by these classes and by built-in bases
+alone, so it loads no numeric layer to do so: `reporting.ConfigError`,
+`hilbert.DegenerateStateError` and `branching.PointerOverflowError` are
+`ValueError`s. Every integer the library takes, a seed too, is read by one
+of the two readers, never truncated, and used as the int it returns:
+`_check_dims` reads subsystem dimensions (each at least 1, their product at
+most DIM_CAP) and `_check_index` every other integer (a basis index, a
+count, a seed), with an optional least.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Both are plain `math` on Python floats. This module imports no numpy, so a
 import math
 from typing import NamedTuple, Optional
 
-from .contracts import CapacityError, Frozen, _check_index
+from .contracts import CapacityError, _check_index
 
 POLARIZER_K_CAP = 2**20           # most lenses of one polarizer chain; one loop pass per stage
 
@@ -21,23 +21,6 @@ class ZenoReport(NamedTuple):
     mode: str                      # "deterministic-polarizer" | "random-projection"
     trials: Optional[int] = None   # random mode only
     seed: Optional[int] = None     # random mode only
-
-
-class WorldCountConfig(Frozen):
-    __slots__ = _fields = ("universe_age_s", "planck_time_s", "growth_model")
-    universe_age_s: float
-    planck_time_s: float
-    growth_model: str              # "linear" | "exponential"
-
-    def __init__(self, universe_age_s: float = DEFAULT_UNIVERSE_AGE_S,
-                 planck_time_s: float = DEFAULT_PLANCK_TIME_S, growth_model: str = "linear"):
-        self._set(universe_age_s, planck_time_s, growth_model)
-        if not (0.0 < self.universe_age_s < math.inf and 0.0 < self.planck_time_s < math.inf):
-            raise ValueError("ages and times must be positive and finite")
-        if self.universe_age_s <= self.planck_time_s:
-            raise ValueError("universe age must exceed the elementary time step")
-        if self.growth_model not in ("linear", "exponential"):
-            raise ValueError(f"unknown growth model {self.growth_model!r}")
 
 
 class WorldCountReport(NamedTuple):
@@ -74,16 +57,26 @@ def polarizer_chain(k: int) -> ZenoReport:
     return ZenoReport(k, probability, "deterministic-polarizer")
 
 
-def world_count(config: WorldCountConfig) -> WorldCountReport:
+def world_count(universe_age_s: float = DEFAULT_UNIVERSE_AGE_S,
+                planck_time_s: float = DEFAULT_PLANCK_TIME_S,
+                growth_model: str = "linear") -> WorldCountReport:
     """Order-of-magnitude world count from the age-to-elementary-time ratio.
 
-    Works entirely in the log domain so arbitrarily extreme inputs cannot
-    overflow. The linear model counts one world per elementary time step;
-    the exponential model compounds the count once per step and is reported
-    as a doubly-iterated log10.
+    Both times must be positive and finite, the age above the time step,
+    and the growth model "linear" or "exponential"; anything else raises
+    ValueError. Works entirely in the log domain so arbitrarily extreme
+    inputs cannot overflow. The linear model counts one world per elementary
+    time step; the exponential model compounds the count once per step and
+    is reported as a doubly-iterated log10.
     """
-    log10_ratio = math.log10(config.universe_age_s) - math.log10(config.planck_time_s)
-    if config.growth_model == "linear":
+    if not (0.0 < universe_age_s < math.inf and 0.0 < planck_time_s < math.inf):
+        raise ValueError("ages and times must be positive and finite")
+    if universe_age_s <= planck_time_s:
+        raise ValueError("universe age must exceed the elementary time step")
+    if growth_model not in ("linear", "exponential"):
+        raise ValueError(f"unknown growth model {growth_model!r}")
+    log10_ratio = math.log10(universe_age_s) - math.log10(planck_time_s)
+    if growth_model == "linear":
         return WorldCountReport(log10_ratio, log10_worlds=log10_ratio)
     # log10 log10 e^(ratio) = log10(ratio * log10 e), evaluated in logs
     log10_log10 = log10_ratio + math.log10(math.log10(math.e))

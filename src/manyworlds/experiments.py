@@ -132,10 +132,14 @@ def evolution_walk(
     comb(depth, (depth + c + 1) // 2) histories end at complexity c. In
     "single-history" mode one seeded trajectory is followed per trial and
     statistics are taken over trials, each carrying its position and running
-    minimum across the pieces of its row. Full-branching depths above
-    FULL_BRANCHING_DEPTH_CAP, and runs above UNIFORMS_CAP, raise CapacityError.
+    minimum across the pieces of its row. Both modes read the seed and the
+    trial count, but only the single-history walk uses them and needs
+    trials >= 1. Full-branching depths above FULL_BRANCHING_DEPTH_CAP, and
+    runs above UNIFORMS_CAP, raise CapacityError.
     """
     depth = _check_index(depth, "depth", 0)
+    trials = _check_index(trials, "trials", 1 if mode == "single-history" else None)
+    seed = _check_index(seed, "seed")
     if mode == "full-branching":
         if depth > FULL_BRANCHING_DEPTH_CAP:
             raise CapacityError(
@@ -153,7 +157,6 @@ def evolution_walk(
             branch_count=2**depth,
         )
     if mode == "single-history":
-        trials = _check_index(trials, "trials", 1)
         total = top = 0
         for _, pieces in _trial_blocks(seed, trials, depth):
             walk, low = np.zeros((1, 1), dtype=np.int64), 0  # W_0 = 0

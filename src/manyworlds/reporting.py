@@ -10,53 +10,18 @@ reader reads the JSON form.
 
 Reports are flat: every payload field and config parameter is a scalar
 (None, bool, int, float or str) or a list or tuple of floats, so a report
-is written value by value, each in the format its config names.
+is written value by value, each in the format its config names. A payload
+is the `NamedTuple` record its experiment's library call returns.
 """
 
 from collections.abc import Mapping
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .contracts import Frozen
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2 at the CLI)."""
-
-
-class SchmidtReport(NamedTuple):
-    """Decomposition diagnostics of one seeded random bipartite state."""
-
-    d_left: int
-    d_right: int
-    seed: int
-    rank: int
-    lambdas: tuple[float, ...]
-    entanglement_entropy: float
-    spectra_gap: float
-    reconstruction_error: float
-
-
-class BranchReport(NamedTuple):
-    """Outcome weights and entropies of a single premeasurement branching."""
-
-    object_dim: int
-    seed: int
-    n_branches: int
-    weights: tuple[float, ...]
-    branch_entropies: tuple[float, ...]
-    total_entropy: float
-
-
-class ChainReport(NamedTuple):
-    """Total-entropy trajectory of a device-chain protocol."""
-
-    object_dim: int
-    n_devices: int
-    seed: int
-    entropy_steps: tuple[float, ...]
-    final_entropy: float
-    leaf_count: int
 
 
 class ExperimentConfig(Frozen):

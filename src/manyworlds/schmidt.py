@@ -7,11 +7,11 @@ read off one thin singular value decomposition of the d_left x d_right
 amplitude matrix, so no reduced density matrix is ever formed.
 """
 
-from __future__ import annotations
+from typing import NamedTuple
 
 import numpy as np
 
-from .contracts import DecompositionError, Frozen
+from .contracts import DecompositionError, Frozen, _check_index
 from .hilbert import (
     EPS_EIG,
     EPS_RANK,
@@ -22,6 +22,7 @@ from .hilbert import (
     _fresh_state,
     _gram_deviation,
     _norm,
+    haar_random_state,
 )
 
 
@@ -50,7 +51,7 @@ class SchmidtDecomposition(Frozen, eq=False):
                         np.array(right_vectors, dtype=np.complex128), split)
 
     def _build(self, lam: np.ndarray, left: np.ndarray, right: np.ndarray,
-               split: BipartiteSplit) -> SchmidtDecomposition:
+               split: BipartiteSplit) -> "SchmidtDecomposition":
         """Check the arrays, form the reconstruction, freeze all four in place and set them.
 
         Every check on a decomposition is here; a NaN fails each one it reaches.
@@ -180,3 +181,39 @@ def entanglement_entropy(dec: SchmidtDecomposition) -> float:
     """Von Neumann entropy -sum lambda ln lambda of the coefficients, in nats."""
     value = float(-np.dot(dec.lambdas, np.log(dec.lambdas)))
     return max(value, 0.0) + 0.0  # + 0.0 normalizes -0.0
+
+
+class SchmidtReport(NamedTuple):
+    """Decomposition diagnostics of one seeded random bipartite state."""
+
+    d_left: int
+    d_right: int
+    seed: int
+    rank: int
+    lambdas: tuple[float, ...]
+    entanglement_entropy: float
+    spectra_gap: float
+    reconstruction_error: float
+
+
+def random_state_report(d_left: int, d_right: int, seed: int) -> SchmidtReport:
+    """Decompose the seed's uniformly random state on a d_left x d_right split.
+
+    Reports the coefficients, their entropy, `spectra_gap` and the distance
+    of the reconstruction from the state, with the integers the split and
+    the seed reader returned.
+    """
+    split = BipartiteSplit(d_left, d_right)
+    seed = _check_index(seed, "seed")
+    psi = haar_random_state(split.total, seed)
+    dec = schmidt_decompose(psi, split)
+    return SchmidtReport(
+        d_left=split.d_left,
+        d_right=split.d_right,
+        seed=seed,
+        rank=dec.rank,
+        lambdas=tuple(dec.lambdas.tolist()),
+        entanglement_entropy=entanglement_entropy(dec),
+        spectra_gap=spectra_gap(psi, dec),
+        reconstruction_error=float(_norm(reconstruct(dec).amplitudes - psi.amplitudes)),
+    )

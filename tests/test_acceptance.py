@@ -24,7 +24,6 @@ from manyworlds import (
     schmidt_decompose,
     spectra_gap,
     world_count,
-    WorldCountConfig,
     evolution_walk,
 )
 
@@ -150,8 +149,8 @@ def test_criterion_6_inverse_zeno_contrast():
 
 def test_criterion_7_world_count_orders_of_magnitude():
     started = time.perf_counter()
-    linear = world_count(WorldCountConfig()).log10_worlds
-    expo = world_count(WorldCountConfig(growth_model="exponential")).log10_log10_worlds
+    linear = world_count().log10_worlds
+    expo = world_count(growth_model="exponential").log10_log10_worlds
     elapsed = time.perf_counter() - started
     ok = abs(linear - 60.91) < 0.05 and abs(expo - 60.54) < 0.05 and elapsed < 1.0
     _report(7, "world count brackets", ok,

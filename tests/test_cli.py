@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env
-from manyworlds import DIM_CAP, branching, cli, deterministic, schmidt
-from manyworlds.branching import CHAIN_DEVICES_CAP
+from manyworlds import DIM_CAP, __version__, branching, cli, deterministic, experiments, schmidt
+from manyworlds.branching import CHAIN_DEVICES_CAP, BranchReport, ChainReport
 from manyworlds.cli import main, parse_config
 from manyworlds.deterministic import POLARIZER_K_CAP, WorldCountReport, ZenoReport
 from manyworlds.experiments import (
@@ -27,17 +27,14 @@ from manyworlds.experiments import (
     OverlapReport,
 )
 from manyworlds.reporting import (
-    BranchReport,
-    ChainReport,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
-    SchmidtReport,
     _float_text,
     _json_string,
     emit_report,
 )
-from manyworlds.schmidt import DecompositionError
+from manyworlds.schmidt import DecompositionError, SchmidtReport
 
 PAYLOAD_TYPES = {
     "schmidt": SchmidtReport,
@@ -49,6 +46,30 @@ PAYLOAD_TYPES = {
     "worlds": WorldCountReport,
     "evolve": ComplexityReport,
 }
+
+
+# The one library call each subcommand is. Each takes its parameters under the
+# names the command line gives them, but `worlds` takes its model as growth_model,
+# and all but `zeno` and `worlds` take the seed.
+LIBRARY = {
+    "schmidt": schmidt.random_state_report,
+    "branch": branching.branching_report,
+    "chain": branching.chain_report,
+    "overlap": experiments.overlap_statistics,
+    "zeno": deterministic.polarizer_chain,
+    "zeno-random": experiments.random_projection_chain,
+    "worlds": deterministic.world_count,
+    "evolve": experiments.evolution_walk,
+}
+
+
+def library_call(experiment: str, parameters: dict, seed: int):
+    """The payload of the experiment's library function, called with keyword arguments."""
+    keywords = {"growth_model" if name == "model" else name: value
+                for name, value in parameters.items()}
+    if experiment not in ("zeno", "worlds"):
+        keywords["seed"] = seed
+    return LIBRARY[experiment](**keywords)
 
 
 def field_names(payload_type) -> set[str]:
@@ -516,6 +537,14 @@ def test_cli_and_library_refuse_alike(tmp_path, capsys, case):
         cli.run_experiment(ExperimentConfig(experiment, parameters, 0, "json", str(out)))
     assert not out.exists()
 
+    # a missing parameter is the config's rule; a direct call without it is Python's TypeError
+    complete = set(parameters) == {p.name for p in cli.EXPERIMENTS[experiment].params}
+    with pytest.raises(ValueError if complete else TypeError) as direct:
+        library_call(experiment, parameters, 0)
+    if complete:
+        assert (type(direct.value), str(direct.value)) == (type(refused.value),
+                                                           str(refused.value))
+
     argv = [experiment, "--out", str(out)]
     for name, value in parameters.items():
         argv += ["--" + name.replace("_", "-"), str(value)]
@@ -524,6 +553,31 @@ def test_cli_and_library_refuse_alike(tmp_path, capsys, case):
     assert captured.err == f"error: {refused.value}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+# One small run of each subcommand.
+RUNS = {
+    "schmidt": {"d_left": 3, "d_right": 4},
+    "branch": {"dim": 3},
+    "chain": {"dim": 2, "devices": 3},
+    "overlap": {"dim": 8, "trials": 200},
+    "zeno": {"k": 3},
+    "zeno-random": {"dim": 8, "k": 2, "trials": 200},
+    "worlds": {"universe_age_s": 4.35e17, "planck_time_s": 5.39e-44, "model": "exponential"},
+    "evolve": {"depth": 8, "mode": "single-history", "trials": 200},
+}
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+@pytest.mark.parametrize("seed", [7, 2**63 + 5])
+@pytest.mark.parametrize("experiment", RUNS)
+def test_cli_writes_the_library_payload(tmp_path, experiment, seed, output_format):
+    # the command line adds nothing to a payload: it only writes what the library returns
+    out = tmp_path / "report"
+    config = ExperimentConfig(experiment, RUNS[experiment], seed, output_format, str(out))
+    cli.run_experiment(config)
+    payload = library_call(experiment, RUNS[experiment], seed)
+    assert out.read_bytes() == emit_report(ExperimentReport(config, __version__, payload))
 
 
 # (the rest of the command line, a key, a value no converter or library rule accepts)

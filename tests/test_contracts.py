@@ -18,12 +18,13 @@ from manyworlds import rng
 from manyworlds.branching import (
     BranchNode,
     _conditional_shift,
+    branching_report,
+    chain_report,
     premeasurement_unitary,
     run_chain_protocol,
 )
-from manyworlds.cli import _run_branch
 from manyworlds.contracts import CapacityError, DecompositionError, Frozen, ShapeError
-from manyworlds.deterministic import WorldCountConfig, polarizer_chain
+from manyworlds.deterministic import polarizer_chain
 from manyworlds.experiments import evolution_walk, overlap_statistics, random_projection_chain
 from manyworlds.hilbert import (
     BipartiteSplit,
@@ -36,7 +37,7 @@ from manyworlds.hilbert import (
     partial_trace,
 )
 from manyworlds.reporting import ExperimentConfig, ExperimentReport, emit_report
-from manyworlds.schmidt import SchmidtDecomposition, schmidt_decompose
+from manyworlds.schmidt import SchmidtDecomposition, random_state_report, schmidt_decompose
 
 PSI = make_state([1, 0, 0, 1], (2, 2))
 FROZEN = {
@@ -46,7 +47,6 @@ FROZEN = {
     "UnitaryOperator": UnitaryOperator(np.eye(2), 4, perm=np.array([1, 0, 3, 2])),
     "SchmidtDecomposition": schmidt_decompose(PSI, BipartiteSplit(2, 2)),
     "ExperimentConfig": ExperimentConfig("zeno", {"k": 1}, 0),
-    "WorldCountConfig": WorldCountConfig(),
 }
 
 
@@ -76,17 +76,12 @@ def test_pickle_round_trip_stays_frozen(name):
 
 def test_repr_names_each_field():
     assert repr(BipartiteSplit(2, 3)) == "BipartiteSplit(d_left=2, d_right=3)"
-    assert repr(WorldCountConfig(growth_model="exponential")) == (
-        "WorldCountConfig(universe_age_s=4.35e+17, planck_time_s=5.39e-44, "
-        "growth_model='exponential')")
 
 
 def test_equal_fields_compare_and_hash_equal():
     a, b = BipartiteSplit(2, 3), BipartiteSplit(2, 3)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != BipartiteSplit(3, 2) and a != (2, 3)
-    assert WorldCountConfig() == WorldCountConfig(4.35e17, 5.39e-44, "linear")
-    assert hash(WorldCountConfig()) == hash(WorldCountConfig())
     assert ExperimentConfig("zeno", {"k": 1}, 0) == ExperimentConfig("zeno", {"k": 1}, 0, "json")
     assert ExperimentConfig("zeno", {"k": 1}, 0) != ExperimentConfig("zeno", {"k": 2}, 0)
     parameters = {"k": 1}
@@ -206,7 +201,14 @@ INTEGER_ARGUMENTS = {
                                       "object dimension must be >= 1, got 0"),
     "run_chain_protocol-n_devices": (lambda v: run_chain_protocol(2, v), 1,
                                      "devices must be >= 1, got 0"),
-    "branch-dim": (lambda v: _run_branch({"dim": v}, 0), 2, "dim must be >= 2, got 1"),
+    "branch-dim": (lambda v: branching_report(v, 0), 2, "dim must be >= 2, got 1"),
+    "random_state_report-d_left": (lambda v: random_state_report(v, 3, 0), 1,
+                                   r"subsystem dimensions must be >= 1, got \(0, 3\)"),
+    "random_state_report-d_right": (lambda v: random_state_report(3, v, 0), 1,
+                                    r"subsystem dimensions must be >= 1, got \(3, 0\)"),
+    "chain_report-dim": (lambda v: chain_report(v, 2, 0), 1,
+                         "object dimension must be >= 1, got 0"),
+    "chain_report-devices": (lambda v: chain_report(2, v, 0), 1, "devices must be >= 1, got 0"),
     "premeasurement_unitary-n_outcomes": (lambda v: premeasurement_unitary(v, 2), 1,
                                           r"subsystem dimensions must be >= 1, got \(0, 2\)"),
     "premeasurement_unitary-device_dim": (lambda v: premeasurement_unitary(2, v), 1,
@@ -285,6 +287,9 @@ SEEDED = {
     "random_projection_chain": lambda s: random_projection_chain(4, 2, 10, s),
     "evolution_walk": lambda s: evolution_walk(3, "single-history", s, 10),
     "run_chain_protocol": lambda s: run_chain_protocol(2, 2, seed=s),
+    "random_state_report": lambda s: random_state_report(2, 3, s),
+    "branching_report": lambda s: branching_report(3, s),
+    "chain_report": lambda s: chain_report(2, 2, s),
 }
 
 
@@ -404,12 +409,20 @@ def test_dimension_cap_is_compared_by_its_two_owners_only():
     (lambda: premeasurement_unitary(129, 129), CapacityError,
      "total dimension 16641 exceeds the cap 16384"),
     (lambda: haar_random_state(2, 1.5), ShapeError, "seed must be an integer, got 1.5"),
+    (lambda: evolution_walk(3, "full-branching", 1.5), ShapeError,
+     "seed must be an integer, got 1.5"),
+    (lambda: evolution_walk(3, "full-branching", 0, "x"), ShapeError,
+     "trials must be an integer, got 'x'"),
+    (lambda: run_chain_protocol(2, 2, amplitudes=[1, 0], seed=1.5), ShapeError,
+     "seed must be an integer, got 1.5"),
     (lambda: SchmidtDecomposition([0.5, 0.3, 0.2], np.eye(2, 3), np.eye(2, 3),
                                   BipartiteSplit(2, 2)),
      DecompositionError, r"\(3,\) coefficients: rank not in \[1, 2\]"),
 ], ids=["2-d-amplitudes", "empty-dims", "basis-index", "non-square-factor",
         "float-gather-list", "float-gather-array", "non-square-density", "density-dim-mismatch",
-        "density-trace", "density-negative-eigenvalue", "partial-trace-keep", "split-zero", "no-outcomes", "no-device", "operator-cap", "float-seed", "rank-above-split"])
+        "density-trace", "density-negative-eigenvalue", "partial-trace-keep", "split-zero", "no-outcomes", "no-device", "operator-cap", "float-seed",
+        "full-branching-float-seed", "full-branching-text-trials", "chain-amplitudes-float-seed",
+        "rank-above-split"])
 def test_library_refusals(make, error, message):
     _conditional_shift.cache_clear()  # the operator-cap case builds, not reads, its gather
     with pytest.raises(error, match=f"^{message}$"):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from manyworlds import (
     DIM_CAP,
     CapacityError,
-    WorldCountConfig,
     evolution_walk,
     overlap_statistics,
     polarizer_chain,
@@ -225,49 +224,45 @@ class TestRandomProjectionChain:
 
 class TestWorldCount:
     def test_linear_default_constants(self):
-        report = world_count(WorldCountConfig())
+        report = world_count()
         assert abs(report.log10_worlds - 60.9069004917679) < 1e-9
         assert report.log10_log10_worlds is None
 
     def test_exponential_default_constants(self):
-        report = world_count(WorldCountConfig(growth_model="exponential"))
+        report = world_count(growth_model="exponential")
         assert abs(report.log10_log10_worlds - 60.544684803068435) < 1e-9
         assert report.log10_worlds is None
 
     def test_exact_power_of_ten_ratio(self):
         t_p = 5.39e-44
-        report = world_count(WorldCountConfig(universe_age_s=t_p * 1e60, planck_time_s=t_p))
+        report = world_count(universe_age_s=t_p * 1e60, planck_time_s=t_p)
         assert abs(report.log10_worlds - 60.0) < 1e-9
 
     def test_monotone_in_age_antitone_in_time_step(self):
-        base = world_count(WorldCountConfig()).log10_worlds
-        older = world_count(WorldCountConfig(universe_age_s=8.7e17)).log10_worlds
-        finer = world_count(WorldCountConfig(planck_time_s=1e-44)).log10_worlds
+        base = world_count().log10_worlds
+        older = world_count(universe_age_s=8.7e17).log10_worlds
+        finer = world_count(planck_time_s=1e-44).log10_worlds
         assert older > base and finer > base
-        base_exp = world_count(WorldCountConfig(growth_model="exponential"))
-        older_exp = world_count(
-            WorldCountConfig(universe_age_s=8.7e17, growth_model="exponential")
-        )
+        base_exp = world_count(growth_model="exponential")
+        older_exp = world_count(universe_age_s=8.7e17, growth_model="exponential")
         assert older_exp.log10_log10_worlds > base_exp.log10_log10_worlds
 
     def test_extreme_inputs_stay_finite(self):
-        report = world_count(
-            WorldCountConfig(universe_age_s=1e308, planck_time_s=1e-308,
+        report = world_count(universe_age_s=1e308, planck_time_s=1e-308,
                              growth_model="exponential")
-        )
         assert math.isfinite(report.log10_ratio)
         assert math.isfinite(report.log10_log10_worlds)
         assert abs(report.log10_ratio - 616.0) < 1e-9
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            WorldCountConfig(universe_age_s=-1.0)
+            world_count(universe_age_s=-1.0)
         with pytest.raises(ValueError):
-            WorldCountConfig(planck_time_s=0.0)
+            world_count(planck_time_s=0.0)
         with pytest.raises(ValueError):
-            WorldCountConfig(universe_age_s=1e-50, planck_time_s=1e-44)
+            world_count(universe_age_s=1e-50, planck_time_s=1e-44)
         with pytest.raises(ValueError):
-            WorldCountConfig(growth_model="logarithmic")
+            world_count(growth_model="logarithmic")
 
 
 class TestEvolutionWalk:

@@ -23,7 +23,7 @@ from manyworlds import (
     tensor,
 )
 from manyworlds.contracts import DIM_CAP
-from manyworlds.deterministic import WorldCountConfig
+from manyworlds.deterministic import world_count
 from manyworlds.hilbert import (
     DEGENERACY_GAP,
     EPS_EIG,
@@ -124,9 +124,9 @@ NON_FINITE_INPUTS = {
         lambda: SchmidtDecomposition(np.array([1.0]), COLUMN, np.array([[INF], [0]]),
                                      BipartiteSplit(2, 2)),
         DecompositionError),
-    "WorldCountConfig-nan": (lambda: WorldCountConfig(universe_age_s=NAN), ValueError),
-    "WorldCountConfig-inf-age": (lambda: WorldCountConfig(universe_age_s=INF), ValueError),
-    "WorldCountConfig-inf-time": (lambda: WorldCountConfig(planck_time_s=INF), ValueError),
+    "WorldCountConfig-nan": (lambda: world_count(universe_age_s=NAN), ValueError),
+    "WorldCountConfig-inf-age": (lambda: world_count(universe_age_s=INF), ValueError),
+    "WorldCountConfig-inf-time": (lambda: world_count(planck_time_s=INF), ValueError),
 }
 
 
