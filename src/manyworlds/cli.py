@@ -26,7 +26,7 @@ import manyworlds as _package
 
 from . import __version__, deterministic
 from .contracts import CapacityError, DecompositionError
-from .reporting import ConfigError, ExperimentConfig, ExperimentReport, emit_report
+from .reporting import ConfigError, ExperimentConfig, emit_report
 
 
 _REQUIRED = object()
@@ -243,13 +243,15 @@ def parse_config(argv=None) -> ExperimentConfig:
     )
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run exactly one experiment and write its serialized report.
+def run_experiment(config: ExperimentConfig):
+    """Run exactly one experiment, write its report and return its payload record.
 
     config.parameters must name every parameter of the experiment and no
     other, each with a value of the parameter's exact type (a bool is not an
-    int); parse_config fills in the defaults. A failed write raises OSError
-    and leaves the stream as it is, to its owner.
+    int); parse_config fills in the defaults. The payload is the record the
+    experiment's library call returns. With no output path the report goes
+    to sys.stdout.buffer, or as UTF-8 text to a stdout with no byte buffer.
+    A failed write raises OSError and leaves the stream as it is, to its owner.
     """
     exp = EXPERIMENTS.get(config.experiment)
     if exp is None:
@@ -266,21 +268,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         _refuse_unknown(exp, parameters, {p.name for p in exp.params})
     if config.output_path is None and sys.stdout is None:  # started with fd 1 closed
         raise OSError("cannot write the report: stdout is closed")
-    started = time.perf_counter()
     payload = exp.runner(parameters, config.seed)
-    report = ExperimentReport(
-        config=config,
-        version=__version__,
-        result=payload,
-        wall_time_s=time.perf_counter() - started,
-    )
-    data = emit_report(report)
-    if config.output_path is None:
+    data = emit_report(config, payload)
+    if config.output_path is not None:
+        Path(config.output_path).write_bytes(data)
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    else:
-        Path(config.output_path).write_bytes(data)
-    return report
+    else:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.flush()
+    return payload
 
 
 def _note(line: str) -> None:
@@ -297,7 +295,9 @@ def _note(line: str) -> None:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-        report = run_experiment(config)
+        started = time.perf_counter()
+        run_experiment(config)
+        wall_time_s = time.perf_counter() - started
     except SystemExit as exc:  # --help or --version has printed its text
         return exc.code
     except CapacityError as exc:
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
         return 2
 
     destination = config.output_path or "stdout"
-    _note(f"{config.experiment}: wrote {destination} ({report.wall_time_s:.3f} s)")
+    _note(f"{config.experiment}: wrote {destination} ({wall_time_s:.3f} s)")
     return 0
 
 

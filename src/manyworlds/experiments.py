@@ -159,11 +159,15 @@ def evolution_walk(
     if mode == "single-history":
         total = top = 0
         for _, pieces in _trial_blocks(seed, trials, depth):
-            walk, low = np.zeros((1, 1), dtype=np.int64), 0  # W_0 = 0
-            for u in pieces:
-                walk = walk[:, -1:] + np.cumsum(np.where(u >= 0.5, 1, -1), axis=1)
-                low = np.minimum(low, walk.min(axis=1))
-            finals = walk[:, -1] - low  # Skorokhod map
+            walk = low = np.zeros(1, dtype=np.int64)  # W_0 = 0
+            for u in pieces:  # step-major: row s holds every trial's step s
+                steps = (u.T >= 0.5).astype(np.int64)
+                steps *= 2
+                steps -= 1
+                steps[0] += walk
+                np.cumsum(steps, axis=0, out=steps)
+                walk, low = steps[-1], np.minimum(low, steps.min(axis=0))
+            finals = walk - low  # Skorokhod map
             total += int(finals.sum())
             top = max(top, int(finals.max()))
         return ComplexityReport(

@@ -1,12 +1,12 @@
 """Deterministic report serialization for the experiment front end.
 
-Serialized bytes depend only on the experiment configuration and the tool
-version: JSON output is a single object with sorted keys, CSV output is a
-header row plus one data row, and all floating-point values are printed
-with 17 significant digits so doubles round-trip exactly. Volatile data
-(wall time, output destination) never reaches the serialized form.
-Reports are write-only: the package never reads one back, and any JSON
-reader reads the JSON form.
+A report is a run's config and its payload, which `emit_report` writes with
+the tool version; its bytes depend on these three alone. JSON output is a
+single object with sorted keys, CSV output is a header row plus one data
+row, and all floating-point values are printed with 17 significant digits
+so doubles round-trip exactly. Volatile data (wall time, output
+destination) never reaches a report. Reports are write-only: the package
+never reads one back, and any JSON reader reads the JSON form.
 
 Reports are flat: every payload field and config parameter is a scalar
 (None, bool, int, float or str) or a list or tuple of floats, so a report
@@ -17,6 +17,7 @@ is the `NamedTuple` record its experiment's library call returns.
 from collections.abc import Mapping
 from types import MappingProxyType
 
+from . import __version__
 from .contracts import Frozen
 
 
@@ -54,27 +55,6 @@ class ExperimentConfig(Frozen):
     def __reduce__(self):  # a mapping view does not pickle; the config is built again
         return type(self), (self.experiment, dict(self.parameters), self.seed,
                             self.output_format, self.output_path)
-
-
-class ExperimentReport:
-    """Config echo, tool version, result payload, and the measured wall time.
-
-    The wall time is informational only and is excluded from serialization,
-    otherwise reruns could never be byte-identical.
-    """
-
-    __slots__ = ("config", "version", "result", "wall_time_s")
-    config: ExperimentConfig
-    version: str
-    result: object
-    wall_time_s: float | None
-
-    def __init__(self, config: ExperimentConfig, version: str, result: object,
-                 wall_time_s: float | None = None):
-        self.config = config
-        self.version = version
-        self.result = result
-        self.wall_time_s = wall_time_s
 
 
 def _json_string(text: str) -> str:
@@ -146,9 +126,9 @@ def _csv_cell(value) -> str:
     return text
 
 
-def emit_report(report: ExperimentReport) -> bytes:
-    """Serialize a report in its config's format: JSON echoes the config, CSV only the payload."""
-    config, fields = report.config, report.result._asdict()
+def emit_report(config: ExperimentConfig, payload) -> bytes:
+    """A run's report in its config's format: JSON echoes the config, CSV only the payload."""
+    fields = payload._asdict()
     if config.output_format == "csv":
         return (",".join(fields) + "\n" + ",".join(map(_csv_cell, fields.values()))
                 + "\n").encode("utf-8")
@@ -160,6 +140,6 @@ def emit_report(report: ExperimentReport) -> bytes:
         f'    "seed": {config.seed}\n'
         "  },\n"
         f'  "result": {_json_object(fields, "  ")},\n'
-        f'  "version": {_json_value(report.version, "")}\n'
+        f'  "version": {_json_string(__version__)}\n'
         "}\n"
     ).encode("utf-8")

@@ -32,3 +32,13 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
+
+
+def reduced_matrix(amplitudes, d_left: int, d_right: int, keep: str) -> np.ndarray:
+    """Reduced density matrix of the `keep` side ("left" or "right") of a pure state.
+
+    Plain numpy on the amplitudes of the d_left x d_right state; the other
+    side is traced out.
+    """
+    m = np.asarray(amplitudes).reshape(d_left, d_right)
+    return m @ m.conj().T if keep == "left" else m.T @ m.conj()

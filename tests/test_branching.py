@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary
+from conftest import haar_unitary, reduced_matrix
 from manyworlds import (
     DIM_CAP,
     BipartiteSplit,
@@ -24,7 +24,6 @@ from manyworlds import (
     haar_random_state,
     interact_and_branch,
     make_state,
-    partial_trace,
     premeasurement_unitary,
     rescaled_entropy_trace,
     run_chain_protocol,
@@ -182,7 +181,7 @@ class TestInteractAndBranch:
         assert np.max(np.abs(weights - [0.5, 0.3, 0.2])) < 1e-10
         # independent oracle: spectrum of the reduced matrix of U(obj x |0>)
         premeasured = apply_unitary(u, tensor(obj, basis_state(0, 3)))
-        w = np.linalg.eigvalsh(partial_trace(premeasured, BipartiteSplit(3, 3), "left").entries)
+        w = np.linalg.eigvalsh(reduced_matrix(premeasured.amplitudes, 3, 3, "left"))
         oracle = np.sort(w)[::-1][: len(kids)]
         assert np.max(np.abs(weights - oracle)) < 1e-10
 

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -29,7 +31,6 @@ from manyworlds.experiments import (
 from manyworlds.reporting import (
     ConfigError,
     ExperimentConfig,
-    ExperimentReport,
     _float_text,
     _json_string,
     emit_report,
@@ -575,9 +576,9 @@ def test_cli_writes_the_library_payload(tmp_path, experiment, seed, output_forma
     # the command line adds nothing to a payload: it only writes what the library returns
     out = tmp_path / "report"
     config = ExperimentConfig(experiment, RUNS[experiment], seed, output_format, str(out))
-    cli.run_experiment(config)
     payload = library_call(experiment, RUNS[experiment], seed)
-    assert out.read_bytes() == emit_report(ExperimentReport(config, __version__, payload))
+    assert cli.run_experiment(config) == payload
+    assert out.read_bytes() == emit_report(config, payload)
 
 
 # (the rest of the command line, a key, a value no converter or library rule accepts)
@@ -636,6 +637,18 @@ class TestOutputs:
         assert main(["zeno", "--k", "2"]) == 0
         data = capsysbinary.readouterr().out
         assert b"0.421875" in data
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_text_only_stdout_gets_the_report_text(self, tmp_path, capsys, output_format):
+        # a stream with no byte buffer, such as io.StringIO, gets the report as text
+        args = ["zeno", "--k", "1", "--format", output_format]
+        out = tmp_path / "zeno.report"
+        assert main(args + ["--out", str(out)]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as stream:
+            assert main(args) == 0
+        assert stream.getvalue().encode("utf-8") == out.read_bytes()
+        note = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(r"zeno: wrote stdout \(\d+\.\d{3} s\)", note)
 
     @pytest.mark.parametrize(
         "args",
@@ -924,28 +937,24 @@ class TestSerializationRoundTrip:
     @pytest.mark.parametrize("experiment,payload", PAYLOADS)
     def test_json_round_trip(self, experiment, payload):
         config = ExperimentConfig(experiment=experiment, parameters={"x": 1}, seed=3)
-        report = ExperimentReport(config, "0.1.0", payload, wall_time_s=0.5)
-        data = emit_report(report)
-        parsed = json.loads(data)
+        parsed = json.loads(emit_report(config, payload))
         assert {k: repr(v) for k, v in parsed["result"].items()} == json_values(payload)
         assert parsed["config"] == {"experiment": experiment, "parameters": {"x": 1}, "seed": 3}
-        assert parsed["version"] == "0.1.0"
+        assert parsed["version"] == __version__
         assert set(parsed) == {"config", "result", "version"}  # wall time never serialized
 
     @pytest.mark.parametrize("experiment,payload", PAYLOADS)
     def test_csv_round_trip(self, experiment, payload):
         config = ExperimentConfig(experiment=experiment, parameters={}, seed=3,
                                   output_format="csv")
-        report = ExperimentReport(config, "0.1.0", payload, wall_time_s=0.5)
-        data = emit_report(report)
+        data = emit_report(config, payload)
         assert data.endswith(b"\n")
         assert b"\r" not in data
         assert read_csv_payload(data, payload) == payload
 
     def test_emitted_json_is_sorted_and_newline_terminated(self):
         config = ExperimentConfig(experiment="zeno", parameters={"k": 1}, seed=0)
-        report = ExperimentReport(config, "0.1.0", ZenoReport(1, 0.25, "deterministic-polarizer"))
-        text = emit_report(report).decode()
+        text = emit_report(config, ZenoReport(1, 0.25, "deterministic-polarizer")).decode()
         assert text.endswith("\n")
         keys = [line.split('"')[1] for line in text.splitlines() if line.startswith('  "')]
         assert keys == sorted(keys)
@@ -993,7 +1002,7 @@ class TestSerializationProperties:
         payload = data.draw(_payloads(PAYLOAD_TYPES[experiment]))
         seed = data.draw(st.integers(-(2**63), 2**64 - 1))
         config = ExperimentConfig(experiment=experiment, parameters={"x": 1}, seed=seed)
-        parsed = json.loads(emit_report(ExperimentReport(config, "0.5.0", payload)))
+        parsed = json.loads(emit_report(config, payload))
         assert {k: repr(v) for k, v in parsed["result"].items()} == json_values(payload)
         assert parsed["config"]["seed"] == seed
 
@@ -1005,7 +1014,7 @@ class TestSerializationProperties:
         payload = data.draw(_payloads(payload_type))
         config = ExperimentConfig(experiment=experiment, parameters={}, seed=0,
                                   output_format="csv")
-        emitted = emit_report(ExperimentReport(config, "0.5.0", payload))
+        emitted = emit_report(config, payload)
         assert repr(read_csv_payload(emitted, payload)) == repr(payload)
 
     # st.text() leaves out lone surrogates; the second alphabet admits them
@@ -1062,17 +1071,17 @@ def csv_cell_oracle(value) -> str:
     return text
 
 
-def emit_report_oracle(report) -> bytes:
-    fields = report.result._asdict()
-    if report.config.output_format == "json":
+def emit_report_oracle(config, payload) -> bytes:
+    fields = payload._asdict()
+    if config.output_format == "json":
         envelope = {
             "config": {
-                "experiment": report.config.experiment,
-                "parameters": dict(report.config.parameters),
-                "seed": report.config.seed,
+                "experiment": config.experiment,
+                "parameters": dict(config.parameters),
+                "seed": config.seed,
             },
             "result": fields,
-            "version": report.version,
+            "version": __version__,
         }
         return (json_fragment_oracle(envelope, 0) + "\n").encode("utf-8")
     cells = [csv_cell_oracle(v) for v in fields.values()]
@@ -1093,14 +1102,11 @@ class TestFlatEmitterMatchesRecursiveOracle:
     @given(data=st.data())
     def test_same_bytes(self, experiment, data):
         payload = data.draw(_payloads(PAYLOAD_TYPES[experiment]))
-        config = ExperimentConfig(experiment=experiment, parameters=data.draw(PARAMETERS),
-                                  seed=data.draw(st.integers(-(2**63), 2**64 - 1)))
-        version = data.draw(st.sampled_from(["0.5.0", "x\u00e9"]))
+        parameters = data.draw(PARAMETERS)
+        seed = data.draw(st.integers(-(2**63), 2**64 - 1))
         for output_format in ("json", "csv"):
-            report = ExperimentReport(
-                ExperimentConfig(config.experiment, config.parameters, config.seed,
-                                 output_format, config.output_path), version, payload)
-            assert emit_report(report) == emit_report_oracle(report)
+            config = ExperimentConfig(experiment, parameters, seed, output_format)
+            assert emit_report(config, payload) == emit_report_oracle(config, payload)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("output_format", ["json", "csv"])
@@ -1108,7 +1114,7 @@ class TestFlatEmitterMatchesRecursiveOracle:
         payload = BranchReport(3, 5, 3, (0.5, bad, 0.2), (), 1.0)
         config = ExperimentConfig("branch", {}, 0, output_format=output_format)
         with pytest.raises(ValueError, match="non-finite"):
-            emit_report(ExperimentReport(config, "0.5.0", payload))
+            emit_report(config, payload)
 
 
 class TestWriterRefusals:
@@ -1119,7 +1125,7 @@ class TestWriterRefusals:
         payload = BranchReport(2, 5, 2, (1, 0.5), (0.0, 0.0), 0.0)
         config = ExperimentConfig("branch", {}, 0, output_format=output_format)
         with pytest.raises(TypeError, match="floats only"):
-            emit_report(ExperimentReport(config, "0.5.0", payload))
+            emit_report(config, payload)
 
     @pytest.mark.parametrize("value,message", [
         ([1, 2], "floats only"), ({"a": 1.0}, "cannot serialize dict"),
@@ -1127,15 +1133,14 @@ class TestWriterRefusals:
     ])
     def test_unserializable_parameter_is_a_type_error(self, value, message):
         config = ExperimentConfig("zeno", {"x": value}, 0)
-        report = ExperimentReport(config, "0.5.0", ZenoReport(1, 0.25, "deterministic-polarizer"))
         with pytest.raises(TypeError, match=message):
-            emit_report(report)
+            emit_report(config, ZenoReport(1, 0.25, "deterministic-polarizer"))
 
     @pytest.mark.parametrize("text", ["a,b", 'a"b', "a\nb", "a\rb"])
     def test_csv_cell_with_a_separator_is_a_value_error(self, text):
         config = ExperimentConfig("zeno", {}, 0, output_format="csv")
         with pytest.raises(ValueError, match="not representable in a CSV cell"):
-            emit_report(ExperimentReport(config, "0.5.0", ZenoReport(1, 0.25, text)))
+            emit_report(config, ZenoReport(1, 0.25, text))
 
 
 class TestFloatFormatting:

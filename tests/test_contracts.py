@@ -36,7 +36,7 @@ from manyworlds.hilbert import (
     make_state,
     partial_trace,
 )
-from manyworlds.reporting import ExperimentConfig, ExperimentReport, emit_report
+from manyworlds.reporting import ExperimentConfig, emit_report
 from manyworlds.schmidt import SchmidtDecomposition, random_state_report, schmidt_decompose
 
 PSI = make_state([1, 0, 0, 1], (2, 2))
@@ -250,7 +250,7 @@ def _emitted(result) -> bytes:
         return b"|".join(map(_emitted, result))
     if isinstance(result, tuple) and hasattr(result, "_asdict"):
         config = ExperimentConfig("case", {}, 0)
-        return emit_report(ExperimentReport(config, "0", result)) + repr(result).encode()
+        return emit_report(config, result) + repr(result).encode()
     if isinstance(result, np.random.Generator):
         result = result.random(8)
     if isinstance(result, StateVector):
