@@ -50,13 +50,16 @@ class Frozen:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, eq: bool = True):
-        # each slot's descriptor setter, found once here instead of by name on every set
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        # the slots of the whole class chain, base fields first, and each slot's
+        # descriptor setter, found once here instead of by name on every set
+        cls._slots = tuple(name for base in reversed(cls.__mro__)
+                           for name in base.__dict__.get("__slots__", ()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._slots)
         if not eq:  # an array's == is elementwise, so a field tuple has no truth value
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def _set(self, *values):
-        """Set the slots in `__slots__` order (the fields first) and return self."""
+        """Set the slots in class-chain order (the fields first) and return self."""
         for setter, value in zip(self._setters, values):
             setter(self, value)
         return self
@@ -69,7 +72,7 @@ class Frozen:
 
     def __setstate__(self, state):
         # pickle and copy restore slots with setattr, which is refused above
-        self._set(*map(state[1].get, self.__slots__))
+        self._set(*map(state[1].get, self._slots))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

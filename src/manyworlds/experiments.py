@@ -3,16 +3,15 @@
 Three drivers: uniform-random overlap statistics, the random-projection
 chain, and complexity random walks with a reflecting barrier at zero. The
 closed-form polarizer chain and world count live in `deterministic`, which
-loads no numpy. Trial t reads its own block of the seed's trial stream (see
-`rng`), read in chunks of trials or in column pieces of one long row, and
-reports do not depend on the chunking.
+loads no numpy. Trial t reads its own row of the seed's trial stream, which
+`rng` lays out, caps and hands over in chunks of trials or in column pieces
+of one long row; the drivers keep only the laws and their carries.
 
 The random-state drivers never build a state: each overlap along a chain
 of uniformly random states is drawn from its exact law, Beta(1, N - 1)
-independent of the states before it, one uniform per overlap. A Monte
-Carlo run is capped at UNIFORMS_CAP drawn uniforms and the exact
-full-branching walk at FULL_BRANCHING_DEPTH_CAP steps; larger runs raise
-CapacityError before anything is drawn or summed.
+independent of the states before it, one uniform per overlap. The exact
+full-branching walk is capped at FULL_BRANCHING_DEPTH_CAP steps; a deeper
+one raises CapacityError before anything is summed.
 """
 
 import math
@@ -20,13 +19,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import rng
 from .contracts import CapacityError, _check_dims, _check_index
 from .deterministic import ZenoReport
+from .rng import _trial_blocks
 
-UNIFORMS_CAP = 2**28              # most uniforms one run draws, trials x padded block; 6-11 s
 # The reported branch count 2**depth must print within Python's default limit
-# of 4300 decimal digits; at this depth the O(depth^2) big-int sums take ~0.04 s.
+# of 4300 decimal digits; at this depth the closed-form mean takes ~0.01 s.
 FULL_BRANCHING_DEPTH_CAP = 14_284
 
 
@@ -46,27 +44,6 @@ class ComplexityReport(NamedTuple):
     branch_count: Optional[int] = None  # full-branching mode
 
 
-def _trial_blocks(seed: int, trials: int, uniforms: int):
-    """(first trial, column pieces of the first `uniforms` of its rows) per chunk.
-
-    Pieces hold at most rng.TRIAL_CHUNK uniforms (a multiple of 4), so a longer row
-    is a chunk of one trial. All is drawn in turn from one generator, so chunk c
-    starts where rng.trial_uniforms(seed, first_c, ...) would: read pieces in order.
-    """
-    per_trial = 4 * max(1, -(-uniforms // 4))
-    if trials * per_trial > UNIFORMS_CAP:
-        raise CapacityError(
-            f"{trials} trials of {per_trial} uniforms exceed the cap {UNIFORMS_CAP}")
-    rows = max(1, rng.TRIAL_CHUNK // per_trial)
-    stream = rng.trial_rng(seed, 0, per_trial)
-
-    def pieces(n):
-        for col in range(0, uniforms, rng.TRIAL_CHUNK):
-            yield stream.random((n, min(rng.TRIAL_CHUNK, per_trial - col)))[:, :uniforms - col]
-
-    return ((first, pieces(min(rows, trials - first))) for first in range(0, trials, rows))
-
-
 def _chain_transmissions(dim: int, k: int, trials: int, seed: int) -> np.ndarray:
     """Per trial, the product of |<s_i|s_i+1>|^2 along k + 2 uniformly random states.
 
@@ -74,7 +51,7 @@ def _chain_transmissions(dim: int, k: int, trials: int, seed: int) -> np.ndarray
     with s_i is Beta(1, N - 1) and independent of the past, by unitary
     invariance (Wootters, Found. Phys. 20, 1990). So overlap i is the
     inverse CDF 1 - (1 - u_i)^(1 / (N - 1)) of the i-th uniform of the
-    trial's block, and at N = 1 it is exactly 1.
+    trial's row, and at N = 1 it is exactly 1.
     """
     blocks = _trial_blocks(seed, trials, k + 1)  # checks the cap before probs exists
     probs = np.empty(trials)
@@ -135,7 +112,7 @@ def evolution_walk(
     minimum across the pieces of its row. Both modes read the seed and the
     trial count, but only the single-history walk uses them and needs
     trials >= 1. Full-branching depths above FULL_BRANCHING_DEPTH_CAP, and
-    runs above UNIFORMS_CAP, raise CapacityError.
+    runs above rng.UNIFORMS_CAP, raise CapacityError.
     """
     depth = _check_index(depth, "depth", 0)
     trials = _check_index(trials, "trials", 1 if mode == "single-history" else None)
@@ -145,10 +122,11 @@ def evolution_walk(
             raise CapacityError(
                 f"full-branching depth {depth} exceeds the cap {FULL_BRANCHING_DEPTH_CAP}"
             )
-        count, weighted = 1, 0  # count = comb(depth, j), stepping j down from depth
-        for j in range(depth, (depth - 1) // 2, -1):  # ends at 2j-depth-1 and at 2j-depth
-            weighted += count * (max(2 * j - depth - 1, 0) + 2 * j - depth)
-            count = count * j // (depth - j + 1)
+        # W_n = S_n - min S of the free walk S has the law of max S (Feller, vol. I,
+        # ch. III), of mean (E|S_n| + E|S_n+1| - 1) / 2, and 2**n E|S_n| = 2h comb(n, h)
+        # at h = (n + 1) // 2: weighted is the exact sum of W_n over all branches
+        a, b = (2 * ((n + 1) // 2) * math.comb(n, (n + 1) // 2) for n in (depth, depth + 1))
+        weighted = (2 * a + b - 2**(depth + 1)) // 4
         return ComplexityReport(
             depth=depth,
             mode=mode,

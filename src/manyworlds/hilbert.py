@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .contracts import Frozen, ShapeError, _check_dims, _check_index
-from .rng import gaussian_amplitudes, rng_from_seed
+from .rng import gaussian_amplitudes
 
 # Numerical tolerances, fixed once for the whole package.
 EPS_NORM = 1e-12    # allowed deviation from unit norm
@@ -239,13 +239,13 @@ def _normalized_state(amps: np.ndarray, norm, dims: tuple[int, ...]) -> StateVec
 
 def basis_state(index: int, dim: int) -> StateVector:
     """Computational basis vector |index> of the given dimension."""
-    dims = _check_dims((dim,))
+    (dim,) = _check_dims((dim,))
     index = _check_index(index, "basis index")
     if not 0 <= index < dim:
         raise ShapeError(f"basis index {index} outside [0, {dim})")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
-    return _fresh_state(amps, dims)
+    return _fresh_state(amps, (dim,))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -367,12 +367,12 @@ def _canonical_cluster_basis(vectors: np.ndarray) -> np.ndarray:
 
 
 def haar_random_state(dim: int, seed: int) -> StateVector:
-    """Uniformly random state: 2*dim seeded Gaussians, normalized.
+    """Uniformly random state: 2*dim Gaussians of the seed's PCG64 stream, normalized.
 
     The same seed always reproduces the same state bit for bit.
     """
-    dims = _check_dims((dim,))
-    amps = gaussian_amplitudes(rng_from_seed(seed), dim)
+    (dim,) = _check_dims((dim,))
+    amps = gaussian_amplitudes(seed, dim)
     # finite Gaussian draws, so unlike make_state's input the norm cannot overflow
-    return _normalized_state(amps, _norm(amps), dims)
+    return _normalized_state(amps, _norm(amps), (dim,))
 

@@ -22,12 +22,7 @@ from manyworlds import DIM_CAP, __version__, branching, cli, deterministic, expe
 from manyworlds.branching import CHAIN_DEVICES_CAP, BranchReport, ChainReport
 from manyworlds.cli import main, parse_config
 from manyworlds.deterministic import POLARIZER_K_CAP, WorldCountReport, ZenoReport
-from manyworlds.experiments import (
-    FULL_BRANCHING_DEPTH_CAP,
-    UNIFORMS_CAP,
-    ComplexityReport,
-    OverlapReport,
-)
+from manyworlds.experiments import FULL_BRANCHING_DEPTH_CAP, ComplexityReport, OverlapReport
 from manyworlds.reporting import (
     ConfigError,
     ExperimentConfig,
@@ -35,6 +30,7 @@ from manyworlds.reporting import (
     _json_string,
     emit_report,
 )
+from manyworlds.rng import UNIFORMS_CAP
 from manyworlds.schmidt import DecompositionError, SchmidtReport
 
 PAYLOAD_TYPES = {

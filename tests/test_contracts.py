@@ -111,12 +111,31 @@ def test_array_holding_classes_compare_and_hash_by_identity(name):
     assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
+class _LabelledState(StateVector):
+    __slots__ = ("label",)
+
+    def __init__(self, amplitudes, dims, label):
+        super().__init__(amplitudes, dims)
+        self._set(self.amplitudes, self.dims, label)
+
+
+class _LabelledSplit(BipartiteSplit):
+    __slots__ = ("label",)
+
+
 def test_subclass_without_slots_of_its_own_sets_its_fields():
     class Labelled(StateVector):
         pass
 
     psi = Labelled([1, 0], (2,))
     assert psi.dims == (2,) and psi.amplitudes.tolist() == [1, 0] and psi == psi
+    # one with slots of its own sets and restores its base's fields first
+    psi = _LabelledState([1, 0], (2,), "up")
+    for state in (psi, pickle.loads(pickle.dumps(psi))):
+        assert (state.dims, state.amplitudes.tolist(), state.label) == ((2,), [1, 0], "up")
+    split = _LabelledSplit(2, 3)
+    assert (split.d_left, split.d_right) == (2, 3)
+    assert pickle.loads(pickle.dumps(split)) == split
 
 
 def test_branch_node_stays_mutable():
@@ -171,6 +190,26 @@ def test_integer_like_indexes_read_as_integers():
         assert u.perm.dtype == np.intp and u.perm.tolist() == [1, 0, 3, 2]
 
 
+class _IndexOnly:
+    """An integer-like object with __index__ alone: no comparison, no arithmetic."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("make", [lambda d: basis_state(0, d), lambda d: haar_random_state(d, 3)],
+                         ids=["basis_state", "haar_random_state"])
+@pytest.mark.parametrize("dim, want", [(True, 1), (_IndexOnly(3), 3)], ids=["bool", "index-only"])
+def test_integer_like_dimension_is_used_as_its_int(make, dim, want):
+    # basis_state(0, True) once reached numpy's np.zeros(True), and an
+    # __index__-only dim the comparison index < dim or the product 2 * dim
+    state = make(dim)
+    assert _emitted(state) == _emitted(make(want)) and type(state.dims[0]) is int
+
+
 def test_numpy_integer_dimensions_accepted():
     assert make_state([1, 1, 1, 1], (np.int64(2), np.int32(2))).dims == (2, 2)
     assert schmidt_decompose(PSI, BipartiteSplit(np.int64(2), 2)).rank == 2
@@ -213,14 +252,18 @@ INTEGER_ARGUMENTS = {
                                           r"subsystem dimensions must be >= 1, got \(0, 2\)"),
     "premeasurement_unitary-device_dim": (lambda v: premeasurement_unitary(2, v), 1,
                                           r"subsystem dimensions must be >= 1, got \(2, 0\)"),
+    "basis_state-dim": (lambda v: basis_state(0, v), 1,
+                        r"subsystem dimensions must be >= 1, got \(0,\)"),
+    "haar_random_state-dim": (lambda v: haar_random_state(v, 0), 1,
+                              r"subsystem dimensions must be >= 1, got \(0,\)"),
     "BipartiteSplit-d_left": (lambda v: BipartiteSplit(v, 3), 1,
                               r"subsystem dimensions must be >= 1, got \(0, 3\)"),
     "BipartiteSplit-d_right": (lambda v: BipartiteSplit(3, v), 1,
                                r"subsystem dimensions must be >= 1, got \(3, 0\)"),
     "trial_rng-first": (lambda v: rng.trial_rng(0, v, 4).random(4).tolist(), 0,
                         "first must be >= 0, got -1"),
-    "trial_rng-per_trial": (lambda v: rng.trial_rng(0, 1, v).random(4).tolist(), 4,
-                            "per_trial must be >= 4, got 3"),
+    "trial_rng-width": (lambda v: rng.trial_rng(0, 1, v).random(4).tolist(), 0,
+                        "width must be >= 0, got -1"),
     "trial_uniforms-first": (lambda v: rng.trial_uniforms(0, v, 2, 4).tolist(), 0,
                              "first must be >= 0, got -1"),
     "trial_uniforms-count": (lambda v: rng.trial_uniforms(0, 1, v, 4).tolist(), 0,
@@ -380,6 +423,19 @@ def test_dimension_cap_is_compared_by_its_two_owners_only():
     # _check_dims caps every state; a chain's final size is its own rule
     assert _owners(lambda n: isinstance(n, ast.Compare) and _names(n, "DIM_CAP")) == {
         ("contracts.py", "_check_dims"), ("branching.py", "build_chain_tree")}
+
+
+def test_draws_and_the_trial_layout_live_in_rng_only():
+    # a driver gives a row width; the generators, the blocks, the chunks and the
+    # cap on uniforms drawn are rng's alone
+    layout = ("TRIAL_CHUNK", "UNIFORMS_CAP")
+    owners = _owners(lambda n: (isinstance(n, ast.Attribute) and n.attr == "random"
+                                and getattr(n.value, "id", None) == "np")
+                     or (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                         and n.func.attr in ("random", "standard_normal"))
+                     or getattr(n, "id", None) in layout or getattr(n, "attr", None) in layout
+                     or (isinstance(n, ast.alias) and n.name in layout))
+    assert {module for module, _ in owners} == {"rng.py"}
 
 
 @pytest.mark.parametrize("make, error, message", [

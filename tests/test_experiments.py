@@ -17,7 +17,8 @@ from manyworlds import (
 )
 from manyworlds import rng
 from manyworlds.deterministic import POLARIZER_K_CAP
-from manyworlds.experiments import _chain_transmissions, _trial_blocks
+from manyworlds.experiments import FULL_BRANCHING_DEPTH_CAP, _chain_transmissions
+from manyworlds.rng import _trial_blocks
 
 
 def walk_distribution(depth):
@@ -40,6 +41,16 @@ def full_branching_counts(depth):
         down[0] += counts[0]
         counts = [a + b for a, b in zip(down, [0] + counts)]
     return counts
+
+
+def full_branching_total(depth):
+    """Final complexities summed over all branches, term by term: for each j above
+    depth / 2, comb(depth, j) histories end at 2j - depth and as many at 2j - depth - 1."""
+    count, weighted = 1, 0  # count = comb(depth, j), stepping j down from depth
+    for j in range(depth, (depth - 1) // 2, -1):
+        weighted += count * (max(2 * j - depth - 1, 0) + 2 * j - depth)
+        count = count * j // (depth - j + 1)
+    return weighted
 
 
 def state_chain_transmissions(dim, k, trials, seed):
@@ -287,6 +298,11 @@ class TestEvolutionWalk:
             )
             assert report.branch_count == sum(counts) == 2**depth
 
+    def test_full_branching_mean_equals_term_sum(self):
+        for depth in [*range(2001), FULL_BRANCHING_DEPTH_CAP]:
+            mean = evolution_walk(depth, "full-branching").mean_final_complexity
+            assert mean == full_branching_total(depth) / 2**depth, depth
+
     @pytest.mark.parametrize("depth", [1, 2, 3, 5, 8, 12, 25, 40])
     def test_full_branching_mean_matches_distribution_oracle(self, depth):
         report = evolution_walk(depth, "full-branching")
@@ -313,16 +329,16 @@ class TestEvolutionWalk:
 
 
 class TestTrialStream:
-    """Trial t reads its own block of the seed's stream, however trials are chunked."""
+    """Trial t reads its own row of the seed's stream, however trials are chunked."""
 
     @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
-    @pytest.mark.parametrize("per_trial", [4, 12, 256])
-    def test_isolated_trial_equals_its_batch_row(self, seed, per_trial):
-        chunk = rng.TRIAL_CHUNK // per_trial
-        batch = rng.trial_uniforms(seed, 0, 2 * chunk + 1, per_trial)
+    @pytest.mark.parametrize("width", [4, 12, 256])
+    def test_isolated_trial_equals_its_batch_row(self, seed, width):
+        chunk = rng.TRIAL_CHUNK // width
+        batch = rng.trial_uniforms(seed, 0, 2 * chunk + 1, width)
         for t in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk):
-            assert np.array_equal(rng.trial_uniforms(seed, t, 1, per_trial)[0], batch[t])
-        pair = rng.trial_uniforms(seed, chunk - 1, 2, per_trial)
+            assert np.array_equal(rng.trial_uniforms(seed, t, 1, width)[0], batch[t])
+        pair = rng.trial_uniforms(seed, chunk - 1, 2, width)
         assert np.array_equal(pair, batch[chunk - 1:chunk + 1])
 
     def test_seeds_give_distinct_streams(self):
@@ -330,10 +346,17 @@ class TestTrialStream:
         assert not np.array_equal(rows[0], rows[1])
         assert not np.array_equal(rows[0], rows[2])
 
-    @pytest.mark.parametrize("per_trial", [0, 1, 6, 258])
-    def test_block_must_be_a_positive_multiple_of_four(self, per_trial):
-        with pytest.raises(ValueError):
-            rng.trial_uniforms(0, 0, 1, per_trial)
+    @pytest.mark.parametrize("width", [*range(10), rng.TRIAL_CHUNK - 1, rng.TRIAL_CHUNK + 1])
+    def test_any_width_replays_row_by_row(self, width):
+        # rows are exactly width wide, each at the start of its own block of whole
+        # Philox steps, so a width-1 row is column 0 of the width-4 row
+        seed, count = 9, 5
+        batch = rng.trial_uniforms(seed, 0, count, width)
+        assert batch.shape == (count, width)
+        for t in range(count):
+            assert np.array_equal(rng.trial_uniforms(seed, t, 1, width)[0], batch[t])
+        if width <= 4:
+            assert np.array_equal(batch, rng.trial_uniforms(seed, 0, count, 4)[:, :width])
 
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError):
@@ -343,26 +366,26 @@ class TestTrialStream:
     def test_sequential_chunks_equal_positioned_draws(self, monkeypatch, uniforms):
         # one generator drawn chunk after chunk lands where a fresh generator
         # advanced to each chunk's first trial does, here over 300 chunks
-        seed, per_trial = 2**63 - 1, 4 * -(-uniforms // 4)
-        monkeypatch.setattr(rng, "TRIAL_CHUNK", 3 * per_trial)
+        seed = 2**63 - 1
+        monkeypatch.setattr(rng, "TRIAL_CHUNK", 3 * rng._block(uniforms))  # three rows a chunk
         chunks = [(first, np.hstack(list(pieces)))
                   for first, pieces in _trial_blocks(seed, 900, uniforms)]
         assert len(chunks) == 300
         for c, (first, block) in enumerate(chunks):
             assert first == 3 * c
-            want = rng.trial_uniforms(seed, 3 * c, 3, per_trial)[:, :uniforms]
+            want = rng.trial_uniforms(seed, 3 * c, 3, uniforms)
             assert np.array_equal(block, want)
 
     @pytest.mark.parametrize("uniforms", [9, 37, 40])
     def test_long_rows_come_in_column_pieces(self, monkeypatch, uniforms):
         # a row longer than the chunk is one trial's row, drawn piece after piece
-        seed, per_trial = 7, 4 * -(-uniforms // 4)
+        seed = 7
         monkeypatch.setattr(rng, "TRIAL_CHUNK", 8)
         for first, pieces in _trial_blocks(seed, 5, uniforms):
             pieces = list(pieces)
             assert [p.shape[1] for p in pieces[:-1]] == [8] * (len(pieces) - 1)
             assert all(p.shape[0] == 1 and 1 <= p.shape[1] <= 8 for p in pieces)
-            want = rng.trial_uniforms(seed, first, 1, per_trial)[:, :uniforms]
+            want = rng.trial_uniforms(seed, first, 1, uniforms)
             assert np.array_equal(np.hstack(pieces), want)
 
     def test_reports_do_not_depend_on_chunk_size(self, monkeypatch):
@@ -388,10 +411,9 @@ class TestTrialStream:
         if chunk:
             monkeypatch.setattr(rng, "TRIAL_CHUNK", chunk)
         trials, seed = 200, 5
-        per_trial = 4 * -(-(k + 1) // 4)
         got = _chain_transmissions(dim, k, trials, seed)
         for t in range(trials):
-            u = rng.trial_uniforms(seed, t, 1, per_trial)[0, :k + 1]
+            u = rng.trial_uniforms(seed, t, 1, k + 1)[0]
             assert got[t] == np.prod(-np.expm1(np.log1p(-u) / (dim - 1)))
 
     @pytest.mark.parametrize("dim", [2, 16, 64])
@@ -419,11 +441,10 @@ class TestTrialStream:
         if chunk:
             monkeypatch.setattr(rng, "TRIAL_CHUNK", chunk)
         trials, seed = 300, 11
-        per_trial = 4 * max(1, -(-depth // 4))
         finals = []
         for t in range(trials):
             c = 0
-            for u in rng.trial_uniforms(seed, t, 1, per_trial)[0, :depth]:
+            for u in rng.trial_uniforms(seed, t, 1, depth)[0]:
                 c = max(c + (1 if u >= 0.5 else -1), 0)
             finals.append(c)
         report = evolution_walk(depth, "single-history", seed=seed, trials=trials)
