@@ -22,7 +22,7 @@ from .rng import gaussian_amplitudes
 EPS_NORM = 1e-12    # allowed deviation from unit norm
 EPS_HERM = 1e-12    # allowed Hermiticity / trace deviation
 EPS_EIG = 1e-10     # eigensolve residual and orthonormality tolerance
-EPS_RANK = 1e-10    # spectrum entries at or below this count as exact zeros
+EPS_RANK = 1e-10    # eigenvalues at or below this count as exact zeros
 
 # Eigenvalues closer than this are treated as one degenerate cluster and get
 # a deterministic basis; see eig_hermitian.
@@ -294,22 +294,24 @@ def eig_hermitian(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values, _canonical_eigenbasis(values, vectors[:, ::-1])
 
 
-def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray,
+                          gap: float = DEGENERACY_GAP) -> np.ndarray:
     """The package's eigenbasis convention, applied to orthonormal columns.
 
     `vectors` holds one column per entry of the descending `values`.
-    Within a degenerate cluster of those values (gap below DEGENERACY_GAP)
-    the basis is rebuilt by Gram-Schmidt over the cluster projector's
-    columns in standard basis order. Then every column's global phase is
-    fixed, all columns in one pass, so its first component of modulus above
-    1e-9 is real positive: the column is multiplied by conj(p) / |p| for
-    that pivot p, with |p| taken as hypot(Re p, Im p), which is how Python's
-    abs of a complex scalar rounds (numpy's array abs rounds differently in
-    the last bit). A column with no such component is left as it is.
-    Clusters are formed only from the values given.
+    Within a degenerate cluster of those values (linked by gaps below `gap`:
+    DEGENERACY_GAP for eigenvalues, the SVD's resolution for schmidt's
+    singular values) the basis is rebuilt by Gram-Schmidt over the cluster
+    projector's columns in standard basis order. Then every column's global
+    phase is fixed, all columns in one pass, so its first component of
+    modulus above 1e-9 is real positive: the column is multiplied by
+    conj(p) / |p| for that pivot p, with |p| taken as hypot(Re p, Im p),
+    which is how Python's abs of a complex scalar rounds (numpy's array abs
+    rounds differently in the last bit). A column with no such component is
+    left as it is. Clusters are formed only from the values given.
     """
     vectors = vectors.copy()
-    for lo, hi in _degenerate_clusters(values):
+    for lo, hi in _degenerate_clusters(values, gap):
         vectors[:, lo:hi] = _canonical_cluster_basis(vectors[:, lo:hi])
     significant = np.abs(vectors) > 1e-9
     rows = significant.argmax(axis=0)  # first significant row, or 0 if there is none
@@ -325,11 +327,12 @@ def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return vectors
 
 
-def _degenerate_clusters(descending: np.ndarray) -> list[tuple[int, int]]:
-    """Index ranges [lo, hi) of two or more eigenvalues linked by gaps < DEGENERACY_GAP."""
+def _degenerate_clusters(descending: np.ndarray,
+                         gap: float = DEGENERACY_GAP) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) of two or more descending values linked by gaps < `gap`."""
     values = descending.tolist()
     # later - earlier is minus the gap exactly (np.diff's formula)
-    linked = [later - earlier > -DEGENERACY_GAP for earlier, later in zip(values, values[1:])]
+    linked = [later - earlier > -gap for earlier, later in zip(values, values[1:])]
     if not any(linked):
         return []
     edges = [0, *(i + 1 for i, link in enumerate(linked) if not link), len(values)]

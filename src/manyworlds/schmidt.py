@@ -7,6 +7,7 @@ read off one thin singular value decomposition of the d_left x d_right
 amplitude matrix, so no reduced density matrix is ever formed.
 """
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +19,6 @@ from .hilbert import (
     BipartiteSplit,
     StateVector,
     _canonical_eigenbasis,
-    _column_norms,
     _fresh_state,
     _gram_deviation,
     _norm,
@@ -30,16 +30,17 @@ class SchmidtDecomposition(Frozen, eq=False):
     """Descending coefficients with paired orthonormal subsystem vectors.
 
     ``left_vectors`` and ``right_vectors`` hold one column per retained
-    coefficient; coefficients at or below EPS_RANK are treated as exact
-    zeros and dropped. The constructor copies caller input and checks it;
-    the arrays are read-only. The amplitudes sum_n sqrt(lambda_n) left_n (x)
-    right_n are formed once, when the decomposition is made, and serve both
-    the residual check of schmidt_decompose and reconstruct.
+    coefficient. Every retained coefficient is positive; schmidt_decompose
+    drops those below its SVD's resolution. The constructor copies caller
+    input and checks it; the arrays are read-only. The amplitudes
+    sum_n sqrt(lambda_n) left_n (x) right_n are formed once, when the
+    decomposition is made, and serve both the residual check of
+    schmidt_decompose and reconstruct.
     """
 
     _fields = ("lambdas", "left_vectors", "right_vectors", "split")
     __slots__ = (*_fields, "_amplitudes")
-    lambdas: np.ndarray       # descending, each in (EPS_RANK, 1]
+    lambdas: np.ndarray       # descending, each in (0, 1]
     left_vectors: np.ndarray  # (d_left, rank), orthonormal columns
     right_vectors: np.ndarray # (d_right, rank), orthonormal columns
     split: BipartiteSplit
@@ -62,8 +63,8 @@ class SchmidtDecomposition(Frozen, eq=False):
         values = lam.tolist()  # at most 128 entries; plain floats beat array temporaries when few
         if any(later > earlier for earlier, later in zip(values, values[1:])):
             raise DecompositionError("coefficients must be sorted descending")
-        if any(value <= EPS_RANK for value in values):
-            raise DecompositionError("retained coefficient at or below the zero threshold")
+        if any(value <= 0.0 for value in values):
+            raise DecompositionError("retained coefficients must be positive")
         if not abs(lam.sum() - 1.0) <= EPS_EIG:
             raise DecompositionError(f"coefficients sum to {float(lam.sum())!r}, not 1")
         for name, mat, d in (("left", left, split.d_left), ("right", right, split.d_right)):
@@ -91,9 +92,9 @@ def _fresh_decomposition(lam: np.ndarray, left: np.ndarray, right: np.ndarray,
     The constructor's builder runs on them: the same checks, and they are
     frozen in place rather than copied. No errstate is entered: the SVD of
     a unit-norm vector is finite, and so are the canonical left vectors
-    (each divided by a pivot modulus above 1e-9) and the right vectors
-    (divided by norms checked to be nonzero), so no inf can reach a Gram
-    matrix.
+    (each divided by a pivot modulus above 1e-9) and the right vectors (the
+    SVD's right factor times a matrix of such products), so no inf can
+    reach a Gram matrix.
     """
     return object.__new__(SchmidtDecomposition)._build(lam, left, right, split)
 
@@ -106,32 +107,24 @@ def _reconstruction_amplitudes(lam: np.ndarray, left: np.ndarray,
 def schmidt_decompose(psi: StateVector, split: BipartiteSplit) -> SchmidtDecomposition:
     """Decompose a pure state across a bipartite split.
 
-    Takes one thin SVD of the amplitude matrix: the coefficients are the
-    squared singular values, and only those above EPS_RANK are kept, so no
-    null space is ever computed. The kept left vectors follow the package's
+    Takes one thin SVD m = u s vh of the amplitude matrix, and reads both
+    bases off it. The coefficients are the squared singular values above
+    the SVD's resolution cut = s[0] * max(d_left, d_right) * eps, so no null
+    space is ever computed. The kept left vectors follow the package's
     eigenbasis convention (see eig_hermitian), with degenerate clusters
-    formed among the kept coefficients only. Each right vector is then
-    obtained by contracting the state with its left vector and normalizing;
-    this guarantees phase-consistent pairs. The reconstruction is verified
-    against the input before returning.
+    formed among the kept singular values by gaps below 16 * cut. Each right
+    vector is the SVD's right factor turned by the same change of basis,
+    so every pair is phase-consistent and nothing is divided. The
+    reconstruction is verified against the input before returning.
     """
     split.require_match(psi)
     m = psi.amplitudes.reshape(split.d_left, split.d_right)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    values = s**2
-    rank = sum(value > EPS_RANK for value in values.tolist())  # a prefix: s is descending
-    lambdas = values[:rank]
-    left = _canonical_eigenbasis(lambdas, u[:, :rank])
-
-    raw_right = m.T @ left.conj()            # column n: <left_n| psi, a right-side vector
-    norms = _column_norms(raw_right)
-    if not all(norm * norm > EPS_RANK for norm in norms.tolist()):  # numpy's norms**2, exactly
-        raise DecompositionError(
-            "retained coefficient vanished during pairing; state is numerically pathological"
-        )
-    right = raw_right / norms
-
-    dec = _fresh_decomposition(lambdas, left, right, split)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    cut = s[0].item() * max(m.shape) * sys.float_info.epsilon
+    rank = sum(value > cut for value in s.tolist())  # a prefix: s is descending
+    left = _canonical_eigenbasis(s[:rank], u[:, :rank], 16 * cut)
+    right = vh[:rank].T @ (u[:, :rank].conj().T @ left).conj()
+    dec = _fresh_decomposition((s**2)[:rank], left, right, split)
     residual = _norm(dec._amplitudes - psi.amplitudes)
     if not residual <= EPS_EIG:
         raise DecompositionError(
@@ -148,19 +141,22 @@ def spectra_gap(psi: StateVector, dec: SchmidtDecomposition) -> float:
     SVD, this eigensolves the smaller reduced matrix of `psi` on `dec.split`
     and returns the max elementwise gap between its descending eigenvalues
     above EPS_RANK and `dec.lambdas`, an entry missing from the shorter one
-    counting as zero. That matrix is formed straight from amplitudes that
-    StateVector has checked, so it is Hermitian with unit trace by
-    construction; a DensityMatrix would re-check its positivity with a
-    second eigensolve of the very spectrum compared here.
+    counting as zero. dec keeps coefficients down to its SVD's resolution,
+    far below EPS_RANK, where an eigensolve cannot tell them from rounding:
+    such a coefficient meets a filtered zero and adds its own size, below
+    EPS_RANK, to the gap. The reduced matrix is formed straight from
+    amplitudes that StateVector has checked, so it is Hermitian with unit
+    trace by construction; a DensityMatrix would re-check its positivity
+    with a second eigensolve of the very spectrum compared here.
     """
     dec.split.require_match(psi)
     m = psi.amplitudes.reshape(dec.split.d_left, dec.split.d_right)
     reduced = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.T @ m.conj()
     eigen = np.linalg.eigvalsh(reduced).tolist()[::-1]
     a = [value for value in eigen if value > EPS_RANK]
-    b = dec.lambdas.tolist()  # dec keeps only entries above EPS_RANK
+    b = dec.lambdas.tolist()
     k = min(len(a), len(b))
-    tail = a[k:] if len(a) > k else b[k:]  # entries above EPS_RANK are positive
+    tail = a[k:] if len(a) > k else b[k:]  # every entry of either is positive
     return max(0.0, *(abs(x - y) for x, y in zip(a, b)), *tail)
 
 

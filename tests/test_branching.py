@@ -400,12 +400,25 @@ class TestChainProtocol:
             assert trace[0][1] == 0.0
 
     def test_tiny_branch_weight_survives_pairing(self):
-        # the second branch weight, ~5.3e-10, lies within the degeneracy gap
-        # of the zero coefficients the decomposition discards
+        # the second branch weight, ~5.3e-10, is far above the SVD's
+        # resolution, so it is kept and paired like any other
         totals = ledger_totals(run_chain_protocol(2, 3, amplitudes=[1, 2.3e-5]))
         assert len(totals) == 7
         assert all(b >= a for a, b in zip(totals, totals[1:]))
         assert totals[-1] > 0.0
+
+    def test_improbable_world_is_born_with_its_ledger(self):
+        # amplitudes 1 : 1e-6 make a world of weight 1e-12 at each device,
+        # far below the 1e-10 that a weight cut used to discard
+        tree = build_chain_tree(2, 3, amplitudes=[1, 1e-6])
+        assert run_chain_protocol(2, 3, amplitudes=[1, 1e-6]) == tree.ledger
+        rare = [node for node in tree.nodes.values() if node.weight < 0.5]
+        assert len(rare) == 3
+        for node in rare:
+            assert abs(node.weight - 1e-12) <= 1e-20
+            assert node.history == [(node.birth_step, 0.0)]
+        for record in tree.ledger:
+            assert record.total_entropy == math.fsum(record.branch_entropies)
 
     def test_seed_determines_object_state(self):
         a = run_chain_protocol(2, 3, amplitudes=None, seed=11)

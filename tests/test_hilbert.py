@@ -402,12 +402,12 @@ class TestInvariantSweep:
 # Oracles: the per-column forms that _canonical_eigenbasis replaced. The
 # bulk rewrite must match them bit for bit, signed zeros included.
 
-def degenerate_clusters_oracle(descending):
+def degenerate_clusters_oracle(descending, gap=DEGENERACY_GAP):
     """Every cluster [lo, hi), singletons included, by a walk over the gaps."""
     n = descending.size
     lo = 0
     for i in range(1, n + 1):
-        if i == n or descending[i - 1] - descending[i] >= DEGENERACY_GAP:
+        if i == n or descending[i - 1] - descending[i] >= gap:
             yield lo, i
             lo = i
 
@@ -420,9 +420,9 @@ def fix_global_phase_oracle(vec):
     return vec * (pivot.conjugate() / abs(pivot))
 
 
-def canonical_eigenbasis_oracle(values, vectors):
+def canonical_eigenbasis_oracle(values, vectors, gap=DEGENERACY_GAP):
     vectors = vectors.copy()
-    for lo, hi in degenerate_clusters_oracle(values):
+    for lo, hi in degenerate_clusters_oracle(values, gap):
         if hi - lo > 1:
             vectors[:, lo:hi] = _canonical_cluster_basis(vectors[:, lo:hi])
     for col in range(vectors.shape[1]):
@@ -487,20 +487,31 @@ class TestBulkCanonicalization:
         expected = canonical_eigenbasis_oracle(values, vectors)
         assert same_bits(_canonical_eigenbasis(values, vectors), expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=clustered_bases(), gap=GAPS)
+    def test_clusters_match_per_column_oracle_at_a_given_gap(self, case, gap):
+        # schmidt_decompose passes its SVD's resolution in place of DEGENERACY_GAP
+        values, vectors = case
+        expected = canonical_eigenbasis_oracle(values, vectors, gap)
+        assert same_bits(_canonical_eigenbasis(values, vectors, gap), expected)
+
     @settings(max_examples=500, deadline=None)
     @given(top=st.floats(1e-10, 1.0), steps=st.lists(st.one_of(
         GAPS,
         st.integers(-3, 3).map(lambda ulps: DEGENERACY_GAP + ulps * 2.0**-82),  # 1e-9 +- ulps
-        st.floats(0.0, 3e-9)), max_size=12))
-    def test_cluster_ranges_match_gap_walk(self, top, steps):
+        st.floats(0.0, 3e-9)), max_size=12), gap=GAPS)
+    def test_cluster_ranges_match_gap_walk(self, top, steps, gap):
         # each step is rounded again by the subtraction at the value's own
         # magnitude, so the gaps fall at and around DEGENERACY_GAP
         values = [top]
         for step in steps:
             values.append(values[-1] - step)
         values = np.array(values if steps else [])
-        expected = [(lo, hi) for lo, hi in degenerate_clusters_oracle(values) if hi - lo > 1]
-        assert _degenerate_clusters(values) == expected
+        def expected(*gap_given):
+            return [(lo, hi) for lo, hi in degenerate_clusters_oracle(values, *gap_given)
+                    if hi - lo > 1]
+        assert _degenerate_clusters(values) == expected()
+        assert _degenerate_clusters(values, gap) == expected(gap)
 
     def test_input_is_not_modified(self):
         vectors = np.array([[1j, 0.0], [0.0, -1.0]])

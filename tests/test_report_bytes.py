@@ -4,20 +4,23 @@ The runs cover the small-call and dense paths (`schmidt`, `branch`,
 `chain`), the Monte Carlo inputs of the `trials-mc` benchmark workload
 (`overlap`, `zeno-random`, single-history `evolve`), and the deterministic
 `zeno`, `worlds` and full-branching `evolve`. `report_bytes.json` holds
-the sha256 of the JSON and the CSV report of every run below, with the JSON `version` value masked so that a version
-bump alone does not fail the guard. A change that alters any other byte
-fails here; if the change is intended (a new RNG stream or report field),
-bump `__version__` and regenerate the fixture with
+the sha256 of the JSON and the CSV report of every run below, with the
+JSON `version` value masked so that a version bump alone does not fail the
+guard. A change that alters any other byte fails here; if the change is
+intended (a new RNG stream, report field or numerical method), bump
+`__version__` and regenerate the fixture with
 
     PYTHONPATH=src python3 tests/test_report_bytes.py
 
-The fixture also records, under BUILT_WITH, the numpy version, the OpenBLAS
-build configuration numpy reports, the core OpenBLAS picked at run time and
-the CPU features numpy dispatches its loops to: the `schmidt`, `branch` and
-`chain` bytes depend on that core and the Monte Carlo bytes on that dispatch,
-so a failing case prints the recorded values next to the current ones.
-`zeno` and `worlds` load no numpy, and their bytes must not depend on the
-BLAS at all.
+which prints every case whose digests differ from the fixture it
+overwrites. The fixture also records, under BUILT_WITH, the tool version
+it was made with, which must equal `__version__`, the numpy version, the
+OpenBLAS build configuration numpy reports, the core OpenBLAS picked at
+run time and the CPU features numpy dispatches its loops to: the
+`schmidt`, `branch` and `chain` bytes depend on that core and the Monte
+Carlo bytes on that dispatch, so a failing case prints the recorded values
+next to the current ones. `zeno` and `worlds` load no numpy, and their
+bytes must not depend on the BLAS at all.
 """
 
 import ctypes
@@ -63,7 +66,7 @@ CASES = [f"{run} --seed {seed}" for run in RUNS for seed in SEEDS] + DISPATCH_CA
 
 
 def build_info() -> dict[str, str]:
-    """numpy's version, its OpenBLAS configuration, and the BLAS core and CPU dispatch in use."""
+    """The tool and numpy versions, numpy's OpenBLAS configuration, the BLAS core and CPU dispatch."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     try:
         from numpy._core import _multiarray_umath
@@ -78,6 +81,7 @@ def build_info() -> dict[str, str]:
     if corename is not None:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
     return {
+        "manyworlds": __version__,
         "numpy": np.__version__,
         "openblas_config": blas.get("openblas configuration", "unknown"),
         "openblas_core": corename().decode() if corename is not None else "unknown",
@@ -111,6 +115,11 @@ def golden():
 
 def test_fixture_covers_every_case(golden):
     assert sorted(case for case in golden if case != BUILT_WITH) == sorted(CASES)
+
+
+def test_fixture_made_with_this_version(golden):
+    # a change that moves report bytes bumps the version and regenerates the fixture together
+    assert golden[BUILT_WITH]["manyworlds"] == __version__
 
 
 @pytest.mark.parametrize("args", CASES)
@@ -171,6 +180,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {args: report_digests(args, Path(tmp)) for args in CASES}
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    for args in CASES:
+        if table[args] != old.get(args):
+            print(f"changed: {args}")
     table[BUILT_WITH] = build_info()
     FIXTURE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(CASES)} cases and the build record to {FIXTURE}")

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, reduced_matrix
 from manyworlds import (
+    DIM_CAP,
     EPS_RANK,
     BipartiteSplit,
     DecompositionError,
@@ -101,8 +103,8 @@ class TestDecompose:
         assert np.max(np.abs(dec.left_vectors - vectors[:, :2])) < 1e-12
 
     def test_small_coefficients_near_zero_are_kept(self):
-        # the two 3e-10 coefficients lie within the degeneracy gap of zero;
-        # they form a cluster of their own, apart from the discarded null space
+        # the two 3e-10 coefficients are far above the SVD's resolution; they
+        # form a degenerate cluster of their own, apart from the discarded null space
         lambdas = np.array([1 - 6e-10, 3e-10, 3e-10])
         left = haar_unitary(4, 21)[:, :3]
         right = haar_unitary(4, 22)[:, :3]
@@ -154,6 +156,76 @@ class TestRank:
             assert (dec.rank == 1) == is_product
 
 
+def weighted_state(weights, d_left, d_right, seed):
+    """sum_n sqrt(w_n) u_n (x) v_n over Haar columns u_n and v_n, and the weights w.
+
+    The weights are normalized and returned sorted descending.
+    """
+    w = np.sort(np.asarray(weights, dtype=float))[::-1]
+    w /= w.sum()
+    u = haar_unitary(d_left, seed)[:, :w.size]
+    v = haar_unitary(d_right, seed + 1)[:, :w.size]
+    return make_state(((u * np.sqrt(w)) @ v.T).reshape(-1), [d_left, d_right]), w
+
+
+def check_weights_recovered(psi, w, d_left, d_right):
+    """psi decomposes; its residual, sum and every kept weight are within the SVD's accuracy.
+
+    A kept weight may miss the true one by about eps * sqrt(w), a relative
+    error of eps / sqrt(w); a dropped weight lies below the cut's square.
+    """
+    eps = np.finfo(np.float64).eps
+    dec = schmidt_decompose(psi, BipartiteSplit(d_left, d_right))
+    assert np.linalg.norm(reconstruct(dec).amplitudes - psi.amplitudes) <= 1e-10
+    assert abs(math.fsum(dec.lambdas.tolist()) - 1.0) <= 1e-10
+    kept = w[:dec.rank]
+    assert np.all(np.abs(dec.lambdas - kept) <= 32 * eps * np.sqrt(kept))
+    assert np.all(np.sqrt(w[dec.rank:]) <= (max(d_left, d_right) + 32) * eps)
+    return dec
+
+
+# Valid states that an absolute 1e-10 cut on the weights and an absolute
+# 1e-9 cluster gap refused: a weight below 1e-10, and weights within 1e-9 of
+# each other that differ by a large factor or that are not equal.
+SMALL_WEIGHT_REPROS = {
+    "weight-1e-14": ((1.0, 1e-14), 2),
+    "chained-cluster": ((1.0, 9e-10, 2e-10), 3),
+    "near-degenerate-pair": ((0.5, 0.5 - 2e-10), 2),
+}
+
+
+class TestSmallWeights:
+    """Worlds of tiny weight still exist: every state the caps admit decomposes."""
+
+    def test_basis_state_with_a_tiny_amplitude(self):
+        dec = schmidt_decompose(make_state([1, 0, 0, 7e-6], (4,)), BipartiteSplit(2, 2))
+        assert dec.rank == 2
+        assert abs(dec.lambdas[1] - 4.9e-11) <= 1e-20
+
+    @pytest.mark.parametrize("repro", sorted(SMALL_WEIGHT_REPROS))
+    def test_haar_repros_decompose(self, repro):
+        weights, d = SMALL_WEIGHT_REPROS[repro]
+        for seed in range(10):
+            psi, w = weighted_state(weights, d, d, seed)
+            assert check_weights_recovered(psi, w, d, d).rank == len(weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_log_uniform_weights_up_to_the_cap(self, data):
+        side = math.isqrt(DIM_CAP)  # 128 x 128 fills the cap
+        d_left, d_right = data.draw(st.integers(1, side)), data.draw(st.integers(1, side))
+        rank = data.draw(st.integers(1, min(d_left, d_right)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        w = 10.0 ** np.random.default_rng(seed).uniform(-30.0, 0.0, rank)
+        # a run of weights made equal up to a relative spread of at most 1e-6
+        lo = data.draw(st.integers(0, rank - 1))
+        hi = data.draw(st.integers(lo, rank))
+        spread = data.draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-6]) | st.floats(0.0, 1e-6))
+        w[lo:hi] = w[lo] * (1.0 + spread * np.linspace(0.0, 1.0, hi - lo))
+        psi, w = weighted_state(w, d_left, d_right, seed)
+        check_weights_recovered(psi, w, d_left, d_right)
+
+
 def spectra_gap_on_arrays(psi, dec):
     """spectra_gap's comparison done on numpy arrays, as it was before it took plain floats."""
     m = psi.amplitudes.reshape(dec.split.d_left, dec.split.d_right)
@@ -202,6 +274,14 @@ class TestSpectraGap:
         psi = haar_random_state(split.total, 1)
         phi = haar_random_state(split.total, 2)
         assert spectra_gap(psi, schmidt_decompose(phi, split)) > 1e-3
+
+    def test_weight_below_eps_rank_counts_as_tail(self):
+        # the eigensolve side drops eigenvalues at or below EPS_RANK; the kept
+        # 1e-14 meets a zero there and adds only its own size to the gap
+        psi, _ = weighted_state((1.0, 1e-14), 2, 2, 0)
+        dec = schmidt_decompose(psi, BipartiteSplit(2, 2))
+        assert dec.rank == 2
+        assert spectra_gap(psi, dec) < 1e-10
 
     def test_mismatched_split_is_shape_error(self):
         dec = schmidt_decompose(bell_state(), BipartiteSplit(2, 2))
@@ -308,21 +388,24 @@ class TestInvariances:
         assert padded_gap(base.lambdas, swapped.lambdas) < 1e-10
 
 
-def _threshold_entry(u, s, vh):
-    # the third coefficient sits at EPS_RANK while the fourth stays above it,
-    # so the kept prefix is descending and ends in an entry at the threshold
-    s[2] = math.sqrt(EPS_RANK)
-    while s[2] ** 2 > EPS_RANK:
-        s[2] = np.nextafter(s[2], 0.0)
-    s[3] = 1e-4
+def resolution_cut(s, shape):
+    """The cut schmidt_decompose keeps singular values above, by its own formula."""
+    return s[0] * max(shape) * np.finfo(np.float64).eps
+
+
+def _entry_at_cut(u, s, vh):
+    # the first three coefficients still sum to one and the fourth sits
+    # exactly at the cut, so it is dropped with the state's fourth term,
+    # which only the reconstruction residual can see
+    s[:3] /= np.linalg.norm(s[:3])
+    s[3] = resolution_cut(s, (4, 6))
     return u, s, vh
 
 
-def _rotated_left(u, s, vh):
-    # still orthonormal, but no longer the state's singular basis: the
-    # paired right vectors come out skewed
-    c, t = math.cos(0.3), math.sin(0.3)
-    u[:, :2] = u[:, :2] @ np.array([[c, -t], [t, c]])
+def _skewed_right(u, s, vh):
+    # a non-unitary turn of two rows of vh: the right vectors it pairs with
+    # the untouched left ones are no longer orthonormal
+    vh[:2] = np.array([[1.0, 0.3], [0.0, 1.0]]) @ vh[:2]
     return u, s, vh
 
 
@@ -341,18 +424,18 @@ def _swapped_last_pair(s):
 # The 4 x 6 state they decompose has four coefficients, all kept.
 CORRUPT_SVD = {
     "left-not-orthonormal": (lambda u, s, vh: (u * 1.5, s, vh), "left vectors not orthonormal"),
-    "right-not-orthonormal": (_rotated_left, "right vectors not orthonormal"),
+    "right-not-orthonormal": (_skewed_right, "right vectors not orthonormal"),
     "unsorted": (lambda u, s, vh: (u, s[::-1].copy(), vh), "sorted descending"),
     "ascending-pair": (lambda u, s, vh: (u, _swapped_last_pair(s), vh), "sorted descending"),
     "sum-not-one": (lambda u, s, vh: (u, s * 1.01, vh), "sum to"),
-    # the NaN is not counted above EPS_RANK but sits inside the kept prefix;
-    # the order and threshold checks let it through, the sum check does not
+    # the NaN is not counted above the cut but sits inside the kept prefix;
+    # the order and positivity checks let it through, the sum check does not
     "nan-coefficient": (lambda u, s, vh: (u, _set(s, 1, math.nan), vh), "sum to nan"),
-    # a NaN left entry makes its whole paired right vector NaN, so the
-    # pairing check refuses it before any Gram matrix is formed
+    # the canonical phase pass leaves a NaN entry in place, so the left
+    # Gram check meets it
     "nan-left-entry": (lambda u, s, vh: (_set(u, (2, 1), math.nan), s, vh),
-                       "vanished during pairing"),
-    "entry-at-threshold": (_threshold_entry, "at or below the zero threshold"),
+                       "left vectors not orthonormal (deviation nan)"),
+    "entry-at-threshold": (_entry_at_cut, "reconstruction misses the input"),
 }
 
 
@@ -366,13 +449,13 @@ class TestFreshDecompositionChecks:
 
         def corrupt_svd(*args, **kwargs):
             u, s, vh = svd(*args, **kwargs)
-            return corrupt(u.copy(), s.copy(), vh)
+            return corrupt(u.copy(), s.copy(), vh.copy())
 
         monkeypatch.setattr(schmidt.np.linalg, "svd", corrupt_svd)
         return message
 
     def test_library_raises(self, corrupted):
-        with pytest.raises(DecompositionError, match=corrupted):
+        with pytest.raises(DecompositionError, match=re.escape(corrupted)):
             schmidt_decompose(haar_random_state(24, 3), BipartiteSplit(4, 6))
 
     def test_cli_exits_five(self, corrupted, tmp_path, capsys):
@@ -386,8 +469,7 @@ class TestFreshDecompositionChecks:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_nan_gram_entry_rejected(self, side):
-        # no corrupted SVD reaches a Gram check with a NaN (see nan-left-entry),
-        # so the arrays go through the validating constructor, which runs the same checks
+        # the validating constructor runs the same checks on caller arrays
         split = BipartiteSplit(4, 6)
         dec = schmidt_decompose(haar_random_state(24, 3), split)
         vectors = {"left": dec.left_vectors.copy(), "right": dec.right_vectors.copy()}
@@ -395,6 +477,30 @@ class TestFreshDecompositionChecks:
         with pytest.raises(DecompositionError,
                            match=rf"{side} vectors not orthonormal \(deviation nan\)"):
             SchmidtDecomposition(dec.lambdas, vectors["left"], vectors["right"], split)
+
+    @pytest.mark.parametrize("last", [0.0, -0.0, -1e-300])
+    def test_nonpositive_coefficient_rejected(self, last):
+        # schmidt_decompose keeps only singular values above its cut, so only
+        # caller arrays reach this check
+        split = BipartiteSplit(4, 6)
+        dec = schmidt_decompose(haar_random_state(24, 3), split)
+        lambdas = dec.lambdas.copy()
+        lambdas[-1] = last
+        with pytest.raises(DecompositionError, match="retained coefficients must be positive"):
+            SchmidtDecomposition(lambdas, dec.left_vectors, dec.right_vectors, split)
+
+    @pytest.mark.parametrize("above, rank", [(False, 3), (True, 4)])
+    def test_cut_keeps_only_singular_values_above_it(self, above, rank, monkeypatch):
+        # an exact factorization whose fourth singular value sits at the cut
+        # or one ulp above it; either way the state decomposes
+        u, s, vh = np.linalg.svd(haar_random_state(24, 3).amplitudes.reshape(4, 6),
+                                 full_matrices=False)
+        u, s, vh = _entry_at_cut(u, s, vh)
+        if above:
+            s[3] = np.nextafter(s[3], math.inf)
+        psi = make_state(((u * s) @ vh).reshape(-1), [4, 6])
+        monkeypatch.setattr(schmidt.np.linalg, "svd", lambda *args, **kwargs: (u, s, vh))
+        assert schmidt_decompose(psi, BipartiteSplit(4, 6)).rank == rank
 
     @settings(max_examples=100, deadline=None)
     @given(case=ranked_matrices())
