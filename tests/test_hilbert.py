@@ -507,11 +507,10 @@ class TestBulkCanonicalization:
         for step in steps:
             values.append(values[-1] - step)
         values = np.array(values if steps else [])
-        def expected(*gap_given):
-            return [(lo, hi) for lo, hi in degenerate_clusters_oracle(values, *gap_given)
-                    if hi - lo > 1]
-        assert _degenerate_clusters(values) == expected()
-        assert _degenerate_clusters(values, gap) == expected(gap)
+        for args in ((), (gap,)):  # the default gap, then a drawn one
+            expected = [(lo, hi) for lo, hi in degenerate_clusters_oracle(values, *args)
+                        if hi - lo > 1]
+            assert _degenerate_clusters(values, *args) == expected
 
     def test_input_is_not_modified(self):
         vectors = np.array([[1j, 0.0], [0.0, -1.0]])

@@ -184,9 +184,8 @@ def check_weights_recovered(psi, w, d_left, d_right):
     return dec
 
 
-# Valid states that an absolute 1e-10 cut on the weights and an absolute
-# 1e-9 cluster gap refused: a weight below 1e-10, and weights within 1e-9 of
-# each other that differ by a large factor or that are not equal.
+# A weight below 1e-10, and unequal weights closer than 1e-9, some of them
+# a large factor apart: (weights, side of the square split).
 SMALL_WEIGHT_REPROS = {
     "weight-1e-14": ((1.0, 1e-14), 2),
     "chained-cluster": ((1.0, 9e-10, 2e-10), 3),
@@ -388,17 +387,12 @@ class TestInvariances:
         assert padded_gap(base.lambdas, swapped.lambdas) < 1e-10
 
 
-def resolution_cut(s, shape):
-    """The cut schmidt_decompose keeps singular values above, by its own formula."""
-    return s[0] * max(shape) * np.finfo(np.float64).eps
-
-
 def _entry_at_cut(u, s, vh):
     # the first three coefficients still sum to one and the fourth sits
-    # exactly at the cut, so it is dropped with the state's fourth term,
-    # which only the reconstruction residual can see
+    # exactly at schmidt_decompose's cut for a 4 x 6 split, so it is dropped
+    # with the state's fourth term, which only the reconstruction residual can see
     s[:3] /= np.linalg.norm(s[:3])
-    s[3] = resolution_cut(s, (4, 6))
+    s[3] = s[0] * 6 * np.finfo(np.float64).eps
     return u, s, vh
 
 
