@@ -22,7 +22,7 @@ from .rng import gaussian_amplitudes
 EPS_NORM = 1e-12    # allowed deviation from unit norm
 EPS_HERM = 1e-12    # allowed Hermiticity / trace deviation
 EPS_EIG = 1e-10     # eigensolve residual and orthonormality tolerance
-EPS_RANK = 1e-10    # eigenvalues at or below this count as exact zeros
+EPS_RANK = 1e-10    # DensityMatrix's positivity tolerance on its least eigenvalue
 
 # Eigenvalues closer than this are treated as one degenerate cluster and get
 # a deterministic basis; see eig_hermitian.
@@ -291,24 +291,24 @@ def eig_hermitian(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     values, vectors = np.linalg.eigh(rho.entries)
     values = values[::-1].copy()
-    return values, _canonical_eigenbasis(values, vectors[:, ::-1])
+    return values, _canonical_eigenbasis(values, vectors[:, ::-1], DEGENERACY_GAP)
 
 
-def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray,
-                          gap: float = DEGENERACY_GAP) -> np.ndarray:
+def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray, gap: float) -> np.ndarray:
     """The package's eigenbasis convention, applied to orthonormal columns.
 
     `vectors` holds one column per entry of the descending `values`.
-    Within a degenerate cluster of those values (linked by gaps below `gap`:
-    DEGENERACY_GAP for eigenvalues, the SVD's resolution for schmidt's
-    singular values) the basis is rebuilt by Gram-Schmidt over the cluster
-    projector's columns in standard basis order. Then every column's global
-    phase is fixed, all columns in one pass, so its first component of
-    modulus above 1e-9 is real positive: the column is multiplied by
-    conj(p) / |p| for that pivot p, with |p| taken as hypot(Re p, Im p),
-    which is how Python's abs of a complex scalar rounds (numpy's array abs
-    rounds differently in the last bit). A column with no such component is
-    left as it is. Clusters are formed only from the values given.
+    Within a degenerate cluster of those values (linked by gaps below `gap`,
+    which each caller states: eig_hermitian passes DEGENERACY_GAP, schmidt a
+    multiple of its SVD's resolution) the basis is rebuilt by Gram-Schmidt
+    over the cluster projector's columns in standard basis order. Then every
+    column's global phase is fixed, all columns in one pass, so its first
+    component of modulus above 1e-9 is real positive: the column is
+    multiplied by conj(p) / |p| for that pivot p, with |p| taken as
+    hypot(Re p, Im p), which is how Python's abs of a complex scalar rounds
+    (numpy's array abs rounds differently in the last bit). A column with no
+    such component is left as it is. Clusters are formed only from the
+    values given.
     """
     vectors = vectors.copy()
     for lo, hi in _degenerate_clusters(values, gap):
@@ -327,8 +327,7 @@ def _canonical_eigenbasis(values: np.ndarray, vectors: np.ndarray,
     return vectors
 
 
-def _degenerate_clusters(descending: np.ndarray,
-                         gap: float = DEGENERACY_GAP) -> list[tuple[int, int]]:
+def _degenerate_clusters(descending: np.ndarray, gap: float) -> list[tuple[int, int]]:
     """Index ranges [lo, hi) of two or more descending values linked by gaps < `gap`."""
     values = descending.tolist()
     # later - earlier is minus the gap exactly (np.diff's formula)

@@ -15,7 +15,6 @@ import numpy as np
 from .contracts import DecompositionError, Frozen, _check_index
 from .hilbert import (
     EPS_EIG,
-    EPS_RANK,
     BipartiteSplit,
     StateVector,
     _canonical_eigenbasis,
@@ -139,25 +138,23 @@ def spectra_gap(psi: StateVector, dec: SchmidtDecomposition) -> float:
     Both reduced matrices of a pure state share the nonzero spectrum that
     `dec.lambdas` publishes. To check it by a factorization other than dec's
     SVD, this eigensolves the smaller reduced matrix of `psi` on `dec.split`
-    and returns the max elementwise gap between its descending eigenvalues
-    above EPS_RANK and `dec.lambdas`, an entry missing from the shorter one
-    counting as zero. dec keeps coefficients down to its SVD's resolution,
-    far below EPS_RANK, where an eigensolve cannot tell them from rounding:
-    such a coefficient meets a filtered zero and adds its own size, below
-    EPS_RANK, to the gap. The reduced matrix is formed straight from
-    amplitudes that StateVector has checked, so it is Hermitian with unit
-    trace by construction; a DensityMatrix would re-check its positivity
-    with a second eigensolve of the very spectrum compared here.
+    and returns the max gap between its full descending spectrum and
+    `dec.lambdas`: each coefficient meets its own eigenvalue, however small,
+    and each eigenvalue past dec's rank (rounding of either sign; dec's rank
+    never exceeds the spectrum's length) meets zero. For dec of psi itself
+    the gap stays within a few eps * min(d_left, d_right). The reduced
+    matrix is formed straight from amplitudes that StateVector has checked,
+    so it is Hermitian with unit trace by construction; a DensityMatrix
+    would re-check its positivity with a second eigensolve of the very
+    spectrum compared here.
     """
     dec.split.require_match(psi)
     m = psi.amplitudes.reshape(dec.split.d_left, dec.split.d_right)
     reduced = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.T @ m.conj()
     eigen = np.linalg.eigvalsh(reduced).tolist()[::-1]
-    a = [value for value in eigen if value > EPS_RANK]
-    b = dec.lambdas.tolist()
-    k = min(len(a), len(b))
-    tail = a[k:] if len(a) > k else b[k:]  # every entry of either is positive
-    return max(0.0, *(abs(x - y) for x, y in zip(a, b)), *tail)
+    lambdas = dec.lambdas.tolist()
+    return max(0.0, *(abs(e - l) for e, l in zip(eigen, lambdas)),
+               *map(abs, eigen[len(lambdas):]))
 
 
 def reconstruct(dec: SchmidtDecomposition) -> StateVector:

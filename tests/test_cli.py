@@ -268,7 +268,7 @@ class TestExitCodes:
     def test_help_and_version_still_print(self, capsys, args):
         assert main(args) == 0
         captured = capsys.readouterr()
-        assert captured.out.startswith(("usage: manyworlds", "manyworlds 0.9.0"))
+        assert captured.out.startswith(("usage: manyworlds", "manyworlds 0.10.0"))
         assert captured.err == ""
 
     @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
@@ -613,7 +613,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.9.0"
+        assert payload["version"] == "0.10.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"

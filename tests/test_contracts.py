@@ -438,6 +438,16 @@ def test_draws_and_the_trial_layout_live_in_rng_only():
     assert {module for module, _ in owners} == {"rng.py"}
 
 
+def test_absolute_eigenvalue_thresholds_live_in_hilbert_only():
+    # schmidt compares each coefficient with its SVD's own resolution and its
+    # own eigenvalue; the absolute thresholds serve DensityMatrix and eig_hermitian
+    thresholds = ("EPS_RANK", "DEGENERACY_GAP")
+    owners = _owners(lambda n: getattr(n, "id", None) in thresholds
+                     or getattr(n, "attr", None) in thresholds
+                     or (isinstance(n, ast.alias) and n.name in thresholds))
+    assert {module for module, _ in owners} == {"hilbert.py"}
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: make_state([[1]], (1,)), ShapeError,
      r"expected a 1-d amplitude sequence, got shape \(1, 1\)"),

@@ -478,14 +478,14 @@ class TestBulkCanonicalization:
     def test_phase_pass_matches_per_column_oracle(self, vectors):
         values = np.arange(vectors.shape[1], 0, -1, dtype=float)  # no clusters
         expected = canonical_eigenbasis_oracle(values, vectors)
-        assert same_bits(_canonical_eigenbasis(values, vectors), expected)
+        assert same_bits(_canonical_eigenbasis(values, vectors, DEGENERACY_GAP), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(case=clustered_bases())
     def test_clusters_match_per_column_oracle(self, case):
         values, vectors = case
         expected = canonical_eigenbasis_oracle(values, vectors)
-        assert same_bits(_canonical_eigenbasis(values, vectors), expected)
+        assert same_bits(_canonical_eigenbasis(values, vectors, DEGENERACY_GAP), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(case=clustered_bases(), gap=GAPS)
@@ -507,15 +507,15 @@ class TestBulkCanonicalization:
         for step in steps:
             values.append(values[-1] - step)
         values = np.array(values if steps else [])
-        for args in ((), (gap,)):  # the default gap, then a drawn one
-            expected = [(lo, hi) for lo, hi in degenerate_clusters_oracle(values, *args)
+        for g in (DEGENERACY_GAP, gap):  # eig_hermitian's gap, then a drawn one
+            expected = [(lo, hi) for lo, hi in degenerate_clusters_oracle(values, g)
                         if hi - lo > 1]
-            assert _degenerate_clusters(values, *args) == expected
+            assert _degenerate_clusters(values, g) == expected
 
     def test_input_is_not_modified(self):
         vectors = np.array([[1j, 0.0], [0.0, -1.0]])
         before = vectors.copy()
-        _canonical_eigenbasis(np.array([0.6, 0.4]), vectors)
+        _canonical_eigenbasis(np.array([0.6, 0.4]), vectors, DEGENERACY_GAP)
         assert same_bits(vectors, before)
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import haar_unitary, reduced_matrix
 from manyworlds import (
     DIM_CAP,
-    EPS_RANK,
     BipartiteSplit,
     DecompositionError,
     SchmidtDecomposition,
@@ -26,7 +25,7 @@ from manyworlds import (
 )
 from manyworlds import schmidt
 from manyworlds.cli import main
-from manyworlds.hilbert import _canonical_eigenbasis
+from manyworlds.hilbert import DEGENERACY_GAP, _canonical_eigenbasis
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -99,7 +98,7 @@ class TestDecompose:
         dec = schmidt_decompose(psi, split)
         assert np.allclose(dec.lambdas, [0.5, 0.5], rtol=0.0, atol=1e-12)
         values, vectors = np.linalg.eigh(reduced_matrix(psi.amplitudes, 256, 2, "left"))
-        vectors = _canonical_eigenbasis(values[::-1], vectors[:, ::-1])
+        vectors = _canonical_eigenbasis(values[::-1], vectors[:, ::-1], DEGENERACY_GAP)
         assert np.max(np.abs(dec.left_vectors - vectors[:, :2])) < 1e-12
 
     def test_small_coefficients_near_zero_are_kept(self):
@@ -193,6 +192,26 @@ SMALL_WEIGHT_REPROS = {
 }
 
 
+@st.composite
+def log_uniform_states(draw):
+    """weighted_state of log-uniform weights in [1e-30, 1] on a split up to the cap.
+
+    Returns (psi, weights, d_left, d_right).
+    """
+    side = math.isqrt(DIM_CAP)  # 128 x 128 fills the cap
+    d_left, d_right = draw(st.integers(1, side)), draw(st.integers(1, side))
+    rank = draw(st.integers(1, min(d_left, d_right)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = 10.0 ** np.random.default_rng(seed).uniform(-30.0, 0.0, rank)
+    # a run of weights made equal up to a relative spread of at most 1e-6
+    lo = draw(st.integers(0, rank - 1))
+    hi = draw(st.integers(lo, rank))
+    spread = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-6]) | st.floats(0.0, 1e-6))
+    w[lo:hi] = w[lo] * (1.0 + spread * np.linspace(0.0, 1.0, hi - lo))
+    psi, w = weighted_state(w, d_left, d_right, seed)
+    return psi, w, d_left, d_right
+
+
 class TestSmallWeights:
     """Worlds of tiny weight still exist: every state the caps admit decomposes."""
 
@@ -209,31 +228,23 @@ class TestSmallWeights:
             assert check_weights_recovered(psi, w, d, d).rank == len(weights)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_log_uniform_weights_up_to_the_cap(self, data):
-        side = math.isqrt(DIM_CAP)  # 128 x 128 fills the cap
-        d_left, d_right = data.draw(st.integers(1, side)), data.draw(st.integers(1, side))
-        rank = data.draw(st.integers(1, min(d_left, d_right)))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        w = 10.0 ** np.random.default_rng(seed).uniform(-30.0, 0.0, rank)
-        # a run of weights made equal up to a relative spread of at most 1e-6
-        lo = data.draw(st.integers(0, rank - 1))
-        hi = data.draw(st.integers(lo, rank))
-        spread = data.draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-6]) | st.floats(0.0, 1e-6))
-        w[lo:hi] = w[lo] * (1.0 + spread * np.linspace(0.0, 1.0, hi - lo))
-        psi, w = weighted_state(w, d_left, d_right, seed)
-        check_weights_recovered(psi, w, d_left, d_right)
+    @given(case=log_uniform_states())
+    def test_log_uniform_weights_up_to_the_cap(self, case):
+        check_weights_recovered(*case)
 
 
 def spectra_gap_on_arrays(psi, dec):
-    """spectra_gap's comparison done on numpy arrays, as it was before it took plain floats."""
+    """spectra_gap's comparison done on numpy arrays: the full spectrum, the tail against zero."""
     m = psi.amplitudes.reshape(dec.split.d_left, dec.split.d_right)
     reduced = m @ m.conj().T if m.shape[0] <= m.shape[1] else m.T @ m.conj()
     eigen = np.linalg.eigvalsh(reduced)[::-1]
-    a, b = eigen[eigen > EPS_RANK], dec.lambdas
-    k = min(a.size, b.size)
-    tail = a[k:] if a.size > k else b[k:]
-    return float(max(np.abs(a[:k] - b[:k]).max(initial=0.0), tail.max(initial=0.0)))
+    head, tail = eigen[:dec.rank], eigen[dec.rank:]
+    return float(max(np.abs(head - dec.lambdas).max(), np.abs(tail).max(initial=0.0)))
+
+
+def gap_bound(d_left, d_right):
+    """A few eps per dimension of the smaller reduced matrix: the eigensolve's own accuracy."""
+    return 4 * min(d_left, d_right) * np.finfo(np.float64).eps
 
 
 class TestSpectraGap:
@@ -241,7 +252,8 @@ class TestSpectraGap:
     @given(data=st.data())
     def test_matches_the_array_formula_bit_for_bit(self, data):
         # the decomposition of the state itself, or of another state on the
-        # same split, whose rank may be lower or higher, so both tails occur
+        # same split whose rank may be lower, so the eigensolve leaves a tail
+        # of real eigenvalues or of rounding noise of either sign
         _, m = data.draw(ranked_matrices())
         _, other = data.draw(st.one_of(st.just((None, m)), ranked_matrices(m.shape)))
         split = BipartiteSplit(*m.shape)
@@ -274,13 +286,29 @@ class TestSpectraGap:
         phi = haar_random_state(split.total, 2)
         assert spectra_gap(psi, schmidt_decompose(phi, split)) > 1e-3
 
-    def test_weight_below_eps_rank_counts_as_tail(self):
-        # the eigensolve side drops eigenvalues at or below EPS_RANK; the kept
-        # 1e-14 meets a zero there and adds only its own size to the gap
-        psi, _ = weighted_state((1.0, 1e-14), 2, 2, 0)
+    def test_weight_at_1e_10_meets_its_own_eigenvalue(self):
+        # the eigensolve's value for the kept 1.00000000000009e-10 may fall
+        # either side of 1e-10; the coefficient meets that value, not a zero
+        psi, _ = weighted_state((1.0, 1.0000000001e-10), 2, 2, 5)
         dec = schmidt_decompose(psi, BipartiteSplit(2, 2))
         assert dec.rank == 2
-        assert spectra_gap(psi, dec) < 1e-10
+        assert spectra_gap(psi, dec) <= gap_bound(2, 2)
+
+    @pytest.mark.parametrize("repro", sorted(SMALL_WEIGHT_REPROS))
+    def test_small_weight_repros_meet_their_eigenvalues(self, repro):
+        weights, d = SMALL_WEIGHT_REPROS[repro]
+        for seed in range(10):
+            psi, _ = weighted_state(weights, d, d, seed)
+            dec = schmidt_decompose(psi, BipartiteSplit(d, d))
+            assert dec.rank == len(weights)
+            assert spectra_gap(psi, dec) <= gap_bound(d, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=log_uniform_states())
+    def test_log_uniform_weights_meet_their_eigenvalues(self, case):
+        psi, _, d_left, d_right = case
+        dec = schmidt_decompose(psi, BipartiteSplit(d_left, d_right))
+        assert spectra_gap(psi, dec) <= gap_bound(d_left, d_right)
 
     def test_mismatched_split_is_shape_error(self):
         dec = schmidt_decompose(bell_state(), BipartiteSplit(2, 2))
