@@ -16,7 +16,7 @@ process loads only the layers it runs.
 
 import importlib
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 # Every exported name, under the module that defines it.
 _EXPORTS = {

@@ -303,12 +303,12 @@ def build_chain_tree(
     """Couple an object to a chain of fresh devices, branching at each step.
 
     Each device starts in its ready state |0> and is coupled through the
-    conditional-shift premeasurement. After every branching the followed
-    branch (the first child, which has the highest weight) has its object
-    register rotated back to the initial superposition by a deterministic
-    re-preparation unitary, itself applied as a further rank-preserving
-    interaction. When ``amplitudes`` is omitted the object state is drawn
-    uniformly from the seed.
+    conditional-shift premeasurement: one branching step and one ledger
+    record per device. The followed branch (the first child, of highest
+    weight) then has its object register rotated back to the initial
+    superposition by a deterministic re-preparation unitary, in place: it
+    cannot branch, and adds no step, ledger record or history entry. When
+    ``amplitudes`` is omitted the object state is drawn uniformly from the seed.
     """
     object_dim = _check_index(object_dim, "object dimension", 1)
     n_devices = _check_index(n_devices, "devices", 1)
@@ -343,12 +343,12 @@ def build_chain_tree(
         if not children:
             continue
         followed = children[0]  # children come in descending weight
-        outcome = _object_outcome(tree.node(followed).state, object_dim)
+        node = tree.node(followed)
+        outcome = _object_outcome(node.state, object_dim)
         cols = np.arange(object_dim)
         cols[[0, outcome]] = outcome, 0
         # prep with columns 0 and outcome swapped, acting on the object register only
-        reprep = UnitaryOperator(prep[:, cols], tree.node(followed).state.dim)
-        interact_and_branch(tree, followed, reprep, split)
+        node.state = apply_unitary(UnitaryOperator(prep[:, cols], node.state.dim), node.state)
     return tree
 
 

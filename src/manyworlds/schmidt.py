@@ -172,7 +172,8 @@ def reconstruct(dec: SchmidtDecomposition) -> StateVector:
 
 def entanglement_entropy(dec: SchmidtDecomposition) -> float:
     """Von Neumann entropy -sum lambda ln lambda of the coefficients, in nats."""
-    value = float(-np.dot(dec.lambdas, np.log(dec.lambdas)))
+    # a product state's one lambda can read 1 - 2**-52; its entropy is exactly zero
+    value = float(-np.dot(dec.lambdas, np.log(dec.lambdas))) if dec.rank > 1 else 0.0
     return max(value, 0.0) + 0.0  # + 0.0 normalizes -0.0
 
 

@@ -21,6 +21,7 @@ from manyworlds import (
     apply_unitary,
     basis_state,
     build_chain_tree,
+    chain_report,
     haar_random_state,
     interact_and_branch,
     make_state,
@@ -381,8 +382,8 @@ class TestChainProtocol:
         expected = [0.0]
         acc, weight = 0.0, 1.0
         for _ in range(5):
-            acc += weight * LN2   # branching step
-            expected += [acc, acc]  # re-preparation step leaves the total alone
+            acc += weight * LN2   # one branching step per device
+            expected += [acc]
             weight *= 0.5
         assert len(totals) == len(expected)
         assert max(abs(a - b) for a, b in zip(totals, expected)) < 1e-12
@@ -403,7 +404,7 @@ class TestChainProtocol:
         # the second branch weight, ~5.3e-10, is far above the SVD's
         # resolution, so it is kept and paired like any other
         totals = ledger_totals(run_chain_protocol(2, 3, amplitudes=[1, 2.3e-5]))
-        assert len(totals) == 7
+        assert len(totals) == 4
         assert all(b >= a for a, b in zip(totals, totals[1:]))
         assert totals[-1] > 0.0
 
@@ -419,6 +420,46 @@ class TestChainProtocol:
             assert node.history == [(node.birth_step, 0.0)]
         for record in tree.ledger:
             assert record.total_entropy == math.fsum(record.branch_entropies)
+
+    @pytest.mark.parametrize("dim,devices,seed", [(1, 4, 0), (2, 1, 3), (2, 9, 0), (3, 4, 5),
+                                                  (4, 3, 7), (11, 3, 2), (128, 1, 1)])
+    def test_one_ledger_record_per_device(self, dim, devices, seed):
+        ledger = run_chain_protocol(dim, devices, seed=seed)
+        assert len(ledger) == devices + 1
+        assert [r.step for r in ledger] == list(range(devices + 1))
+
+    @pytest.mark.parametrize("dim,devices", [(2, 9), (3, 4), (16, 2)])
+    def test_one_decomposition_per_device(self, monkeypatch, dim, devices):
+        calls = []
+        decompose = branching.schmidt_decompose
+        monkeypatch.setattr(branching, "schmidt_decompose",
+                            lambda psi, split: calls.append(psi.dim) or decompose(psi, split))
+        build_chain_tree(dim, devices, seed=1)
+        assert calls == [dim ** (k + 2) for k in range(devices)]
+
+    def test_each_total_printed_once(self):
+        steps = chain_report(2, 4, 3).entropy_steps
+        assert len(steps) == 5
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+
+    def test_followed_world_history_holds_no_reprep_round_off(self):
+        # node 4, born at step 2, is followed to device 3 and branches there
+        tree = build_chain_tree(3, 3, seed=5)
+        node = tree.node(4)
+        assert node.children
+        entropy = -sum(tree.node(c).weight * math.log(tree.node(c).weight)
+                       for c in node.children)
+        (birth, zero), (step, value) = node.history
+        assert (birth, zero, step) == (2, 0.0, 3)
+        assert abs(value - entropy) < 1e-12
+
+    @pytest.mark.parametrize("dim,devices", [(2, 9), (3, 5), (5, 3), (16, 2)])
+    def test_every_history_entry_is_a_birth_or_a_branching(self, dim, devices):
+        for seed in range(5):
+            tree = build_chain_tree(dim, devices, seed=seed)
+            for node in tree.nodes.values():
+                assert node.history[0] == (node.birth_step, 0.0)
+                assert all(value > 1e-6 for _, value in node.history[1:])
 
     def test_seed_determines_object_state(self):
         a = run_chain_protocol(2, 3, amplitudes=None, seed=11)

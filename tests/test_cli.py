@@ -268,7 +268,7 @@ class TestExitCodes:
     def test_help_and_version_still_print(self, capsys, args):
         assert main(args) == 0
         captured = capsys.readouterr()
-        assert captured.out.startswith(("usage: manyworlds", "manyworlds 0.10.0"))
+        assert captured.out.startswith(("usage: manyworlds", "manyworlds 0.11.0"))
         assert captured.err == ""
 
     @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
@@ -613,7 +613,7 @@ class TestOutputs:
         payload = json.loads(out.read_text())
         assert abs(payload["result"]["log10_worlds"] - 60.9069004917679) < 1e-9
         assert payload["config"]["experiment"] == "worlds"
-        assert payload["version"] == "0.10.0"
+        assert payload["version"] == "0.11.0"
 
     def test_zeno_csv_row(self, tmp_path, capsys):
         out = tmp_path / "zeno.csv"
@@ -821,7 +821,7 @@ class TestRunsAtDimensionCap:
                      "--out", str(out)]) == 0
         result = json.loads(out.read_text())["result"]
         steps = result["entropy_steps"]
-        assert len(steps) == 1 + 2 * 13
+        assert len(steps) == 1 + 13
         assert all(b >= a - 1e-12 for a, b in zip(steps, steps[1:]))
         assert result["final_entropy"] == steps[-1]
 

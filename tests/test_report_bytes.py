@@ -13,7 +13,9 @@ intended (a new RNG stream, report field or numerical method), bump
     PYTHONPATH=src python3 tests/test_report_bytes.py
 
 which prints every case whose digests differ from the fixture it
-overwrites. The fixture also records, under BUILT_WITH, the tool version
+overwrites. It refuses, writing nothing and exiting 1, when digests moved
+but `__version__` still equals the version the old fixture was made with.
+The fixture also records, under BUILT_WITH, the tool version
 it was made with, which must equal `__version__`, the numpy version, the
 OpenBLAS build configuration numpy reports, the core OpenBLAS picked at
 run time and the CPU features numpy dispatches its loops to: the
@@ -108,6 +110,16 @@ def report_digests(args: str, out_dir: Path) -> dict[str, str]:
     return digests
 
 
+def changed_cases(table: dict, old: dict) -> list[str]:
+    """The cases whose digests in `table` differ from those of the `old` fixture."""
+    return [args for args in CASES if table[args] != old.get(args)]
+
+
+def needs_version_bump(changed: list[str], old: dict) -> bool:
+    """Whether digests moved while `__version__` is still the old fixture's version."""
+    return bool(changed) and old.get(BUILT_WITH, {}).get("manyworlds") == __version__
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -120,6 +132,18 @@ def test_fixture_covers_every_case(golden):
 def test_fixture_made_with_this_version(golden):
     # a change that moves report bytes bumps the version and regenerates the fixture together
     assert golden[BUILT_WITH]["manyworlds"] == __version__
+
+
+def test_moved_digests_need_a_version_bump():
+    table = {args: {"json": "j", "csv": "c"} for args in CASES}
+    moved = {**table, CASES[0]: {"json": "j2", "csv": "c"}}
+    same, older = {"manyworlds": __version__}, {"manyworlds": "0.0.0"}
+    assert changed_cases(table, {**table, BUILT_WITH: same}) == []
+    assert changed_cases(moved, {**table, BUILT_WITH: same}) == [CASES[0]]
+    assert needs_version_bump([CASES[0]], {**table, BUILT_WITH: same})
+    assert not needs_version_bump([CASES[0]], {**table, BUILT_WITH: older})
+    assert not needs_version_bump([], {**table, BUILT_WITH: same})  # a rebuild that moves nothing
+    assert not needs_version_bump(CASES, {})  # no fixture yet
 
 
 @pytest.mark.parametrize("args", CASES)
@@ -181,9 +205,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {args: report_digests(args, Path(tmp)) for args in CASES}
     old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
-    for args in CASES:
-        if table[args] != old.get(args):
-            print(f"changed: {args}")
+    changed = changed_cases(table, old)
+    for args in changed:
+        print(f"changed: {args}")
+    if needs_version_bump(changed, old):
+        sys.exit(f"the fixture was made with version {__version__}; bump __version__ "
+                 f"before moving report bytes. {FIXTURE} is unchanged")
     table[BUILT_WITH] = build_info()
     FIXTURE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(CASES)} cases and the build record to {FIXTURE}")

@@ -356,6 +356,15 @@ class TestEntropy:
         assert 0.0 <= s <= math.log(4) + 1e-10
         assert (s == 0.0) == (dec.rank == 1)
 
+    @pytest.mark.parametrize("d_left,d_right", [(1, 16), (16, 1), (4, 4)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_product_of_haar_states_exactly_zero(self, d_left, d_right, seed):
+        # the one lambda can read 1 - 2**-52, whose -lambda ln lambda is 2.2e-16
+        psi = tensor(haar_random_state(d_left, seed), haar_random_state(d_right, seed + 100))
+        dec = schmidt_decompose(psi, BipartiteSplit(d_left, d_right))
+        assert dec.rank == 1
+        assert entanglement_entropy(dec) == 0.0
+
 
 class TestInvariances:
     @pytest.mark.parametrize("seed", range(10))
