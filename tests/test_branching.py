@@ -437,12 +437,12 @@ class TestChainProtocol:
         build_chain_tree(dim, devices, seed=1)
         assert calls == [dim ** (k + 2) for k in range(devices)]
 
-    def test_each_total_printed_once(self):
+    def test_report_steps_grow_strictly(self):
         steps = chain_report(2, 4, 3).entropy_steps
         assert len(steps) == 5
         assert all(a < b for a, b in zip(steps, steps[1:]))
 
-    def test_followed_world_history_holds_no_reprep_round_off(self):
+    def test_followed_world_history_is_birth_then_branching(self):
         # node 4, born at step 2, is followed to device 3 and branches there
         tree = build_chain_tree(3, 3, seed=5)
         node = tree.node(4)

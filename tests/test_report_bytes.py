@@ -15,10 +15,10 @@ intended (a new RNG stream, report field or numerical method), bump
 which prints every case whose digests differ from the fixture it
 overwrites. It refuses, writing nothing and exiting 1, when digests moved
 but `__version__` still equals the version the old fixture was made with.
-The fixture also records, under BUILT_WITH, the tool version
-it was made with, which must equal `__version__`, the numpy version, the
-OpenBLAS build configuration numpy reports, the core OpenBLAS picked at
-run time and the CPU features numpy dispatches its loops to: the
+The fixture also records, under BUILT_WITH, the tool version it was made
+with, which must equal `__version__`, the numpy version, the OpenBLAS
+build configuration numpy reports, the core OpenBLAS picked at run time
+and the CPU features numpy dispatches its loops to: the
 `schmidt`, `branch` and `chain` bytes depend on that core and the Monte
 Carlo bytes on that dispatch, so a failing case prints the recorded values
 next to the current ones. `zeno` and `worlds` load no numpy, and their
