@@ -9,6 +9,8 @@ per-branch contributions. An outcome of weight 1e-12 branches like any
 other: improbable worlds still exist.
 """
 
+import math
+
 import numpy as np
 
 from manyworlds import (
@@ -33,7 +35,7 @@ print("branches created:", len(children))
 for cid in children:
     node = tree.node(cid)
     print(f"  branch {cid}: weight {node.weight:.3f}   "
-          f"entropy contribution {node.relative_entropy:.4f} nats")
+          f"entropy contribution -w ln w = {-node.weight * math.log(node.weight):.4f} nats")
 
 print(f"\ntotal entropy: {total_entropy(tree):.6f} nats")
 print("ledger so far:")

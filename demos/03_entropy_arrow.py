@@ -24,10 +24,10 @@ for record in tree.ledger:
     print(f"  after {moment(record.step):11s}  S = {record.total_entropy:.6f}  {bar}")
 
 print("\nper-branch entropy clocks (step, entropy since birth):")
-for nid in sorted(tree.nodes):
-    node = tree.node(nid)
+for nid, node in enumerate(tree.nodes):  # a node's id is its index
     trace = rescaled_entropy_trace(tree, nid)
     path = ", ".join(f"({s}, {v:.4f})" for s, v in trace)
-    print(f"  branch {nid} (born at {moment(node.birth_step)}, weight {node.weight:.3f}): {path}")
+    born = moment(node.history[0][0])
+    print(f"  branch {nid} (born at {born}, weight {node.weight:.3f}): {path}")
 
 print("\nEvery trace starts at exactly zero; the ledger total never decreases.")

@@ -75,33 +75,27 @@ class ChainReport(NamedTuple):
 class BranchNode:
     """One world line: weight, factorized post-branching state, entropies.
 
-    ``history`` holds (step, entropy accumulated within the branch since its
-    birth) per interaction, opening with (birth_step, 0.0). A child keeps
-    its Schmidt pair (left_n, right_n) until ``state`` is first read, which
-    forms and caches the product state and drops the pair.
+    Its id is its index in ``tree.nodes``. ``history`` holds (step, entropy
+    accumulated within the branch since its birth) per interaction, opening
+    with (birth step, 0.0). A child keeps its Schmidt pair (left_n, right_n)
+    until ``state`` is first read, which forms and caches the product state
+    and drops the pair.
     """
 
-    __slots__ = ("id", "parent_id", "weight", "cumulative_weight", "relative_entropy",
-                 "birth_step", "children", "history", "_state", "_pair")
-    id: int
+    __slots__ = ("parent_id", "weight", "cumulative_weight", "children", "history",
+                 "_state", "_pair")
     parent_id: Optional[int]
     weight: float              # relative to the parent at branching time
     cumulative_weight: float   # product of weights from the root
-    relative_entropy: float    # -weight * ln(weight)
-    birth_step: int
     children: list[int]
     history: list[tuple[int, float]]
 
-    def __init__(self, id, parent_id, weight, cumulative_weight, relative_entropy,
-                 birth_step, children=None, history=None, _state=None, _pair=None):
-        self.id = id
+    def __init__(self, parent_id, weight, cumulative_weight, step, _state=None, _pair=None):
         self.parent_id = parent_id
         self.weight = weight
         self.cumulative_weight = cumulative_weight
-        self.relative_entropy = relative_entropy
-        self.birth_step = birth_step
-        self.children = [] if children is None else children
-        self.history = [] if history is None else history
+        self.children = []
+        self.history = [(step, 0.0)]
         self._state = _state
         self._pair = _pair
 
@@ -125,39 +119,32 @@ def _weight_entropy(w: float) -> float:
 
 
 class BranchTree:
-    """Mutable world tree; single-writer, mutated only through module functions."""
+    """Mutable world tree; single-writer, mutated only through module functions.
+
+    ``nodes`` holds every node made, indexed by id from the root's 0; none is
+    removed. ``ledger`` holds one record per step: the next step is its length.
+    """
+
+    root_id = 0
 
     def __init__(self, root_state: StateVector):
-        self.step_counter = 0
-        self.root_id = 0
-        root = BranchNode(
-            id=0,
-            parent_id=None,
-            weight=1.0,
-            cumulative_weight=1.0,
-            relative_entropy=0.0,
-            birth_step=0,
-            history=[(0, 0.0)],
-            _state=root_state,
-        )
-        self.nodes: dict[int, BranchNode] = {0: root}  # ids are dense; no node is removed
+        self.nodes: list[BranchNode] = [BranchNode(None, 1.0, 1.0, 0, _state=root_state)]
         self.ledger: list[LedgerRecord] = []
         self._record_ledger()
 
     def node(self, node_id: int) -> BranchNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise KeyError(f"unknown branch id {node_id}") from None
+        node_id = _check_index(node_id, "branch id", 0)
+        if node_id >= len(self.nodes):
+            raise KeyError(f"unknown branch id {node_id}")
+        return self.nodes[node_id]
 
     def leaf_ids(self) -> list[int]:
-        return [nid for nid, node in self.nodes.items() if not node.children]
+        return [nid for nid, node in enumerate(self.nodes) if not node.children]
 
     def attach_ancilla(self, leaf_id: int, ancilla: StateVector) -> None:
         """Extend a leaf's state with a fresh factorized register.
 
-        Pure bookkeeping: weights and entropies are untouched and the step
-        counter does not advance.
+        Pure bookkeeping: weights and entropies are untouched and no step is taken.
         """
         node = self.node(leaf_id)
         if node.children:
@@ -165,10 +152,9 @@ class BranchTree:
         node.state = tensor(node.state, ancilla)
 
     def _record_ledger(self) -> None:
-        entropies = tuple(
-            _weight_entropy(self.nodes[nid].cumulative_weight) for nid in self.leaf_ids()
-        )
-        self.ledger.append(LedgerRecord(self.step_counter, math.fsum(entropies), entropies))
+        entropies = tuple(_weight_entropy(node.cumulative_weight)
+                          for node in self.nodes if not node.children)
+        self.ledger.append(LedgerRecord(len(self.ledger), math.fsum(entropies), entropies))
 
 
 def total_entropy(tree: BranchTree) -> float:
@@ -221,14 +207,15 @@ def interact_and_branch(
 
     Returns the new leaf ids, or an empty list when the post-interaction
     state still factorizes (the leaf is then updated in place). Every call
-    advances the step counter and appends a ledger record.
+    takes one step and appends its ledger record.
     """
+    leaf_id = _check_index(leaf_id, "branch id", 0)  # each child's parent_id
     node = tree.node(leaf_id)
     if node.children:
         raise ShapeError(f"branch {leaf_id} is not a leaf")
     new_state = apply_unitary(u, node.state)
     dec = schmidt_decompose(new_state, split)
-    step = tree.step_counter + 1
+    step = len(tree.ledger)
     children: list[BranchNode] = []
     if dec.rank > 1:
         n_leaves_after = len(tree.leaf_ids()) - 1 + dec.rank
@@ -243,28 +230,18 @@ def interact_and_branch(
         left, right = dec.left_vectors.T, dec.right_vectors.T
         norms = _column_norms(dec.left_vectors) * _column_norms(dec.right_vectors)
         _check_unit_norm(norms[np.argmax(np.abs(norms - 1.0))])
-        first_id = len(tree.nodes)
         children = [
-            BranchNode(
-                id=first_id + n,
-                parent_id=leaf_id,
-                weight=weight,
-                cumulative_weight=node.cumulative_weight * weight,
-                relative_entropy=_weight_entropy(weight),
-                birth_step=step,
-                history=[(step, 0.0)],
-                _pair=(left[n], right[n]),
-            )
+            BranchNode(leaf_id, weight, node.cumulative_weight * weight, step,
+                       _pair=(left[n], right[n]))
             for n, weight in enumerate(dec.lambdas.tolist())
         ]
 
     node.history.append((step, entanglement_entropy(dec)))
     node.state = new_state
-    node.children = [child.id for child in children]
-    tree.nodes.update((child.id, child) for child in children)
-    tree.step_counter = step
+    node.children = list(range(len(tree.nodes), len(tree.nodes) + len(children)))
+    tree.nodes.extend(children)
     tree._record_ledger()
-    return node.children
+    return list(node.children)  # a copy: clearing it must not make the node a leaf again
 
 
 def rescaled_entropy_trace(tree: BranchTree, node_id: int) -> list[tuple[int, float]]:
@@ -378,7 +355,7 @@ def branching_report(dim: int, seed: int) -> BranchReport:
         seed=seed,
         n_branches=len(nodes),
         weights=tuple(n.weight for n in nodes),
-        branch_entropies=tuple(n.relative_entropy for n in nodes),
+        branch_entropies=tuple(_weight_entropy(n.weight) for n in nodes),
         total_entropy=total_entropy(tree),
     )
 

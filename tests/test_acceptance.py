@@ -97,7 +97,7 @@ def test_criterion_4_arrow_of_time_protocol():
         totals = [r.total_entropy for r in tree.ledger]
         for before, after in zip(totals, totals[1:]):
             worst_drop = max(worst_drop, before - after)
-        for nid in tree.nodes:
+        for nid in range(len(tree.nodes)):
             trace = rescaled_entropy_trace(tree, nid)
             births_ok = births_ok and trace[0][1] == 0.0
     ok = worst_drop <= 1e-12 and births_ok

@@ -10,6 +10,7 @@ from conftest import haar_unitary, reduced_matrix
 from manyworlds import (
     DIM_CAP,
     BipartiteSplit,
+    BranchNode,
     BranchTree,
     CapacityError,
     DecompositionError,
@@ -33,7 +34,7 @@ from manyworlds import (
     total_entropy,
 )
 from manyworlds import branching
-from manyworlds.branching import _conditional_shift, _preparation_unitary
+from manyworlds.branching import _conditional_shift, _preparation_unitary, _weight_entropy
 from manyworlds.cli import main
 
 LN2 = 0.6931471805599453
@@ -126,14 +127,14 @@ class TestPremeasurementUnitary:
 class TestBranchEntropy:
     def test_certain_branch_carries_nothing(self):
         tree = BranchTree(basis_state(0, 2))
-        assert tree.node(tree.root_id).relative_entropy == 0.0
+        assert _weight_entropy(tree.node(tree.root_id).weight) == 0.0
 
     def test_half_weight(self):
         tree = BranchTree(plus_device())
         (a, _) = interact_and_branch(
             tree, tree.root_id, premeasurement_unitary(2, 2), BipartiteSplit(2, 2)
         )
-        assert abs(tree.node(a).relative_entropy - 0.34657359027997264) < 1e-12
+        assert abs(_weight_entropy(tree.node(a).weight) - 0.34657359027997264) < 1e-12
 
     def test_three_way_split_sums(self):
         amps = np.sqrt([0.5, 0.3, 0.2]).astype(complex)
@@ -141,7 +142,7 @@ class TestBranchEntropy:
         kids = interact_and_branch(
             tree, tree.root_id, premeasurement_unitary(3, 3), BipartiteSplit(3, 3)
         )
-        total = sum(tree.node(k).relative_entropy for k in kids)
+        total = sum(_weight_entropy(tree.node(k).weight) for k in kids)
         assert abs(total - 1.0296530140645737) < 1e-10
 
 
@@ -162,7 +163,23 @@ class TestInteractAndBranch:
         )
         assert kids == []
         assert tree.leaf_ids() == [tree.root_id]
-        assert tree.step_counter == 1
+        assert [r.step for r in tree.ledger] == [0, 1]
+
+    def test_returned_ids_are_the_callers_own_list(self):
+        tree = BranchTree(plus_device())
+        kids = interact_and_branch(
+            tree, tree.root_id, premeasurement_unitary(2, 2), BipartiteSplit(2, 2)
+        )
+        kids.clear()
+        assert tree.node(0).children == [1, 2]
+        assert tree.leaf_ids() == [1, 2]
+
+    def test_numpy_leaf_id_gives_int_parent_ids(self):
+        tree = BranchTree(plus_device())
+        kids = interact_and_branch(
+            tree, np.int64(0), premeasurement_unitary(2, 2), BipartiteSplit(2, 2)
+        )
+        assert [type(tree.node(k).parent_id) for k in kids] == [int, int]
 
     def test_product_preserving_unitary_never_adds_leaves(self):
         # local rotations keep factorized states factorized
@@ -229,7 +246,7 @@ class TestInteractAndBranch:
                 tree, tree.root_id, premeasurement_unitary(3, 3), BipartiteSplit(3, 3)
             )
         assert tree.leaf_ids() == [tree.root_id]
-        assert tree.step_counter == 0
+        assert [r.step for r in tree.ledger] == [0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_weight_conservation_over_random_cascades(self, seed):
@@ -272,16 +289,30 @@ class TestTreeBookkeeping:
 
     @staticmethod
     def check(tree):
-        assert list(tree.nodes) == list(range(len(tree.nodes)))
-        assert all(node.id == nid for nid, node in tree.nodes.items())
+        assert [r.step for r in tree.ledger] == list(range(len(tree.ledger)))
         assert total_entropy(tree) == leafwise_total_entropy(tree)
         for record in tree.ledger:
             assert record.total_entropy == math.fsum(record.branch_entropies)
         leaf_weights = [tree.node(nid).cumulative_weight for nid in tree.leaf_ids()]
         assert abs(math.fsum(leaf_weights) - 1.0) <= 1e-12
-        for nid, node in tree.nodes.items():
-            if node.parent_id is not None:
-                assert rescaled_entropy_trace(tree, nid)[0] == (node.birth_step, 0.0)
+        assert tree.nodes[0].parent_id is None and tree.nodes[0].history[0] == (0, 0.0)
+        for nid, node in enumerate(tree.nodes):
+            kids, parent_steps = node.children, {step for step, _ in node.history}
+            assert all(b == a + 1 for a, b in zip(kids, kids[1:]))
+            for kid in kids:
+                child = tree.node(kid)
+                assert type(child.parent_id) is int and child.parent_id == nid
+                step, zero = rescaled_entropy_trace(tree, kid)[0]
+                assert zero == 0.0 and step in parent_steps
+
+    def test_tree_holds_its_nodes_and_ledger_only(self):
+        # ids, birth steps, entropy terms and the step count are derived, not stored
+        tree = BranchTree(plus_device())
+        interact_and_branch(tree, 0, premeasurement_unitary(2, 2), BipartiteSplit(2, 2))
+        assert sorted(vars(tree)) == ["ledger", "nodes"] and type(tree.nodes) is list
+        assert tree.root_id == 0 and len(tree.nodes) == 3
+        assert BranchNode.__slots__ == ("parent_id", "weight", "cumulative_weight", "children",
+                                        "history", "_state", "_pair")
 
     @settings(max_examples=60, deadline=None)
     @given(moves=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 2**32 - 1)),
@@ -336,7 +367,7 @@ class TestRescaledEntropyTrace:
         )
         for k in kids:
             trace = rescaled_entropy_trace(tree, k)
-            assert trace[0] == (tree.node(k).birth_step, 0.0)
+            assert trace[0] == (1, 0.0)  # born at the first step
 
     def test_never_reinteracting_branch_stays_zero(self):
         tree = BranchTree(plus_device())
@@ -396,7 +427,7 @@ class TestChainProtocol:
 
     def test_every_branch_trace_starts_at_zero(self):
         tree = build_chain_tree(2, 5, amplitudes=[1, 1], seed=4)
-        for nid in tree.nodes:
+        for nid in range(len(tree.nodes)):
             trace = rescaled_entropy_trace(tree, nid)
             assert trace[0][1] == 0.0
 
@@ -413,11 +444,11 @@ class TestChainProtocol:
         # far below the 1e-10 that a weight cut used to discard
         tree = build_chain_tree(2, 3, amplitudes=[1, 1e-6])
         assert run_chain_protocol(2, 3, amplitudes=[1, 1e-6]) == tree.ledger
-        rare = [node for node in tree.nodes.values() if node.weight < 0.5]
+        rare = [node for node in tree.nodes if node.weight < 0.5]
         assert len(rare) == 3
         for node in rare:
             assert abs(node.weight - 1e-12) <= 1e-20
-            assert node.history == [(node.birth_step, 0.0)]
+        assert [node.history for node in rare] == [[(1, 0.0)], [(2, 0.0)], [(3, 0.0)]]
         for record in tree.ledger:
             assert record.total_entropy == math.fsum(record.branch_entropies)
 
@@ -457,8 +488,8 @@ class TestChainProtocol:
     def test_every_history_entry_is_a_birth_or_a_branching(self, dim, devices):
         for seed in range(5):
             tree = build_chain_tree(dim, devices, seed=seed)
-            for node in tree.nodes.values():
-                assert node.history[0] == (node.birth_step, 0.0)
+            for node in tree.nodes:
+                assert node.history[0][1] == 0.0
                 assert all(value > 1e-6 for _, value in node.history[1:])
 
     def test_seed_determines_object_state(self):
@@ -596,8 +627,8 @@ class TestChildStates:
 
     def test_chain_forms_only_the_followed_children(self):
         tree = build_chain_tree(3, 2, amplitudes=[1, 2, 3])
-        formed = {nid for nid, node in tree.nodes.items() if node._state is not None}
-        followed = {node.children[0] for node in tree.nodes.values() if node.children}
+        formed = {nid for nid, node in enumerate(tree.nodes) if node._state is not None}
+        followed = {node.children[0] for node in tree.nodes if node.children}
         assert len(tree.nodes) == 7  # the root and two branchings into three
         assert formed == {tree.root_id} | followed
 
@@ -615,7 +646,7 @@ class TestChildStates:
         tree, u, split = _branch_premeasured(7, 5)
         with pytest.raises(DegenerateStateError):
             interact_and_branch(tree, 0, u, split)
-        assert (tree.step_counter, len(tree.nodes)) == (0, 1)
+        assert (len(tree.ledger), len(tree.nodes)) == (1, 1)
 
     def test_nan_child_rejected(self, monkeypatch):
         # the constructor's Gram check would refuse the NaN, so it is bypassed

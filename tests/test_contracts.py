@@ -17,10 +17,13 @@ import manyworlds
 from manyworlds import rng
 from manyworlds.branching import (
     BranchNode,
+    BranchTree,
     _conditional_shift,
     branching_report,
     chain_report,
+    interact_and_branch,
     premeasurement_unitary,
+    rescaled_entropy_trace,
     run_chain_protocol,
 )
 from manyworlds.contracts import CapacityError, DecompositionError, Frozen, ShapeError
@@ -139,10 +142,11 @@ def test_subclass_without_slots_of_its_own_sets_its_fields():
 
 
 def test_branch_node_stays_mutable():
-    first, second = BranchNode(0, None, 1.0, 1.0, 0.0, 0), BranchNode(1, 0, 0.5, 0.5, 0.3, 1)
+    first, second = BranchNode(None, 1.0, 1.0, 0), BranchNode(0, 0.5, 0.5, 1)
     first.weight = 0.25
     first.children.append(1)
-    assert (first.weight, first.children, second.children, second.history) == (0.25, [1], [], [])
+    assert (first.weight, first.children, second.children, second.history) == (
+        0.25, [1], [], [(1, 0.0)])
 
 
 @pytest.mark.parametrize("make", [
@@ -217,6 +221,28 @@ def test_numpy_integer_dimensions_accepted():
     assert type(split.d_left) is int and type(split.d_right) is int
 
 
+def _tree_with_leaf_2():
+    """A fresh tree whose root |+>|0> has been premeasured into the leaves 1 and 2."""
+    tree = BranchTree(make_state([1, 0, 1, 0], (2, 2)))
+    interact_and_branch(tree, 0, premeasurement_unitary(2, 2), BipartiteSplit(2, 2))
+    return tree
+
+
+def _branch_leaf(leaf_id):
+    """Branch leaf 2 = |1>|1> in two; each child's parent id and weight."""
+    tree = _tree_with_leaf_2()
+    hadamard_cnot = np.eye(4)[[0, 1, 3, 2]] @ np.kron([[1, 1], [1, -1]], np.eye(2))
+    u = UnitaryOperator(hadamard_cnot / math.sqrt(2), 4)
+    kids = interact_and_branch(tree, leaf_id, u, BipartiteSplit(2, 2))
+    return [(tree.node(k).parent_id, tree.node(k).weight) for k in kids]
+
+
+def _attach_to_leaf(leaf_id):
+    tree = _tree_with_leaf_2()
+    tree.attach_ancilla(leaf_id, basis_state(0, 2))
+    return tree.node(2).state
+
+
 # Every public integer argument: its call, its least value and the refusal
 # of the value one below it. Dimensions are read by _check_dims, every other
 # integer by _check_index.
@@ -268,6 +294,12 @@ INTEGER_ARGUMENTS = {
                              "first must be >= 0, got -1"),
     "trial_uniforms-count": (lambda v: rng.trial_uniforms(0, 1, v, 4).tolist(), 0,
                              "count must be >= 0, got -1"),
+    "BranchTree.node-node_id": (lambda v: _tree_with_leaf_2().node(v).history, 0,
+                                "branch id must be >= 0, got -1"),
+    "interact_and_branch-leaf_id": (_branch_leaf, 0, "branch id must be >= 0, got -1"),
+    "attach_ancilla-leaf_id": (_attach_to_leaf, 0, "branch id must be >= 0, got -1"),
+    "rescaled_entropy_trace-node_id": (lambda v: rescaled_entropy_trace(_tree_with_leaf_2(), v),
+                                       0, "branch id must be >= 0, got -1"),
 }
 
 
@@ -365,7 +397,8 @@ def _outcome(call, value) -> bytes:
     """The emitted bytes of call(value), or its refusal's type and message."""
     try:
         return _emitted(call(value))
-    except (ValueError, CapacityError) as exc:  # ShapeError and PointerOverflowError too
+    # ShapeError and PointerOverflowError are ValueErrors; KeyError is an unknown branch id
+    except (ValueError, CapacityError, KeyError) as exc:
         return f"{type(exc).__name__}: {exc}".encode()
 
 
